@@ -27,8 +27,8 @@ Two special forms::
 
 declares that the function returns a tuple of Python ints *binding*
 those dimension symbols at the call site (``far_total, near_total =
-born_flat_sizes(plan)`` makes ``np.zeros(far_total)`` an
-``(nnz_far,)`` array to the interpreter), and::
+f(plan)`` makes ``np.zeros(far_total)`` an ``(nnz_far,)`` array to the
+interpreter), and::
 
     plan_born="plan"
 

@@ -41,11 +41,12 @@ from .domain import (CONTIG, FLOAT_DTYPES, UNKNOWN, VIEW, ArrayVal, DimVal,
                      Env, ObjVal, TupleVal, promote, shape_str)
 from .transfer import NUMPY_TRANSFER, dtype_from_ast
 
-#: In-program functions that move arrays across the cluster/donation
-#: boundary; each must carry an ``@array_contract`` stamp (RV605).
+#: In-program functions at either end of a row-range hop: the range
+#: kernels whose arrays a worker or donee sends back, and the reductions
+#: that receive them.  Each must carry an ``@array_contract`` (RV605).
 BOUNDARY_CALLEES = frozenset({
-    "execute_born_rows", "execute_epol_rows",
-    "donation_bounds", "plan_row_keys",
+    "born_flat_values", "epol_row_terms",
+    "reduce_born_flat", "fold_pair_terms",
 })
 
 #: Receiver class of the shared-memory publication boundary.
@@ -572,7 +573,7 @@ class FlowInterpreter:
         if callee.qualname not in self.index.functions:
             self.emit(
                 "RV605", call,
-                f"arrays cross the cluster/donation boundary through "
+                f"arrays cross the worker/donee boundary through "
                 f"{leaf}(), which carries no @array_contract")
 
     def _check_publish(self, call: ast.Call, env: Env):

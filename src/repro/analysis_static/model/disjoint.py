@@ -1,6 +1,7 @@
 """Symbolic slice-disjointness proofs (RV501--RV504).
 
-The sliced serving path (PR 6) is race-free because three facts compose:
+The row-range pipeline (sliced, batched and donated requests alike) is
+race-free because three facts compose:
 
 1. **row chain** -- ``segment_by_weight`` (and its zero-total fallback
    ``segment_range``) emits bounds ``(s_0, e_0), (s_1, e_1), ...`` with
@@ -8,8 +9,9 @@ The sliced serving path (PR 6) is race-free because three facts compose:
    *chained fold* whose segments are pairwise disjoint and exactly cover
    ``[0, n)`` for arbitrary weights and part counts.  ``slice_bounds``
    only drops *empty* segments, which preserves both properties.
-2. **span image** -- each worker writes the flat CSR span
-   ``[A[lo], A[hi])`` of its row range, where ``A`` is one shared offset
+2. **span image** -- every writer of flat Born values takes the span
+   ``[A[lo], A[hi])`` of its row range from one helper
+   (``plan/executor.py::born_spans``), where ``A`` is one shared offset
    array (``far_start`` / ``near_point_start``) indexed at exactly the
    chain endpoints.  The image of a chain through one fixed array is a
    chain, so the write spans are pairwise disjoint and exactly cover
@@ -18,17 +20,19 @@ The sliced serving path (PR 6) is race-free because three facts compose:
    ``A[0] == 0``; that is precisely what
    ``InteractionPlan.validate()`` rejects at runtime, so the axiom is a
    checked precondition, not a hope.
-4. **donation cover** (RV504) -- the cluster donation path
-   (``cluster/donate.py::donation_bounds``) cuts plan rows along
-   coarsened SFC keys.  It is a chain for the same reason ``slice_bounds``
-   is: ``segment_by_key_range`` re-folds a verified
+4. **key-range cover** (RV504) -- key-range ownership (datadist's
+   ``key-range`` halos, loadbalance's KEY_RANGE division) cuts rows
+   along coarsened SFC keys.  It is a chain for the same reason
+   ``slice_bounds`` is: ``segment_by_key_range`` re-folds a verified
    ``segment_by_weight`` chain with forward key snapping (``end =
    max(snap, start)`` keeps ends monotone, the final cut is re-forced to
-   ``n``), and ``donation_bounds`` only guards ``nparts`` and filters
-   empty ranges (``hi > lo``).  So donated cuts are pairwise disjoint
-   and exactly cover ``[0, nrows)`` -- the static twin of the runtime
-   RV406 model invariant ("every plan row donated exactly once"), which
-   the protocol model checker exercises dynamically.
+   ``n``), so its cuts are pairwise disjoint and exactly cover
+   ``[0, nrows)``.
+
+Donation needs no lemma of its own: it cuts with ``slice_bounds`` like
+the fleets (the protocol model's ``donation-bounds`` code fact checks
+that), so lemmas 1--3 cover it, and the RV406 model invariant ("every
+plan row donated exactly once") exercises the same claim dynamically.
 
 This module verifies each fact *structurally* on the AST -- the loop
 really appends ``(start, end)`` and rebinds ``start = end``, the span
@@ -229,7 +233,7 @@ def _int_subscript(value: ast.expr) -> ast.Subscript | None:
 
 
 def verify_span_pairing(fn: FunctionInfo) -> tuple[bool, str]:
-    """Every flat slice ``view[v0:v1]`` in ``fn`` must have its bounds
+    """Every span ``slice(v0, v1)`` in ``fn`` must have its bounds
     assigned as ``v0 = int(A[lo])`` / ``v1 = int(A[hi])`` from the same
     offset array ``A`` in :data:`SPAN_ARRAYS`, with one shared ``(lo,
     hi)`` index pair across all arrays -- the chain-image shape.  Any
@@ -290,15 +294,19 @@ def verify_span_pairing(fn: FunctionInfo) -> tuple[bool, str]:
     if lo_name == hi_name:
         return False, "span endpoints index the same row bound"
 
-    # Every slice built from recorded endpoints must pair (lo-var,
+    # Every span built from recorded endpoints must pair (lo-var,
     # hi-var) of one array, in that order.
     used = False
     for node in ast.walk(fn.node):
-        if not (isinstance(node, ast.Subscript)
-                and isinstance(node.slice, ast.Slice)):
+        if not (isinstance(node, ast.Call) and _is_name(node.func, "slice")
+                and len(node.args) == 2):
             continue
-        lower, upper = node.slice.lower, node.slice.upper
+        lower, upper = node.args
         if not (isinstance(lower, ast.Name) and isinstance(upper, ast.Name)):
+            if any(isinstance(n, ast.Name) and n.id in spans
+                   for bound in (lower, upper) for n in ast.walk(bound)):
+                return False, (f"span bound at line {node.lineno} is "
+                               "arithmetic on a span endpoint")
             continue
         in_spans = [n.id in spans for n in (lower, upper)]
         if not any(in_spans):
@@ -319,7 +327,7 @@ def verify_span_pairing(fn: FunctionInfo) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# Lemma 4 (RV504): the donation cover
+# Lemma 4 (RV504): the key-range cover
 # ---------------------------------------------------------------------------
 
 def _calls(fn: FunctionInfo, callee: str) -> list[ast.Call]:
@@ -329,23 +337,6 @@ def _calls(fn: FunctionInfo, callee: str) -> list[ast.Call]:
             and (_is_name(node.func, callee)
                  or (isinstance(node.func, ast.Attribute)
                      and node.func.attr == callee))]
-
-
-def _empty_filter_comp(fn: FunctionInfo) -> bool:
-    """A comprehension whose only guard is a ``hi > lo`` name compare --
-    the shape that drops empty segments without touching the chain."""
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.ListComp):
-            continue
-        for gen in node.generators:
-            for cond in gen.ifs:
-                if (isinstance(cond, ast.Compare)
-                        and len(cond.ops) == 1
-                        and isinstance(cond.ops[0], ast.Gt)
-                        and isinstance(cond.left, ast.Name)
-                        and isinstance(cond.comparators[0], ast.Name)):
-                    return True
-    return False
 
 
 def verify_segment_by_key_range(fn: FunctionInfo) -> tuple[bool, str]:
@@ -402,41 +393,6 @@ def verify_segment_by_key_range(fn: FunctionInfo) -> tuple[bool, str]:
     return _chain_loop(fn)
 
 
-def verify_donation_bounds(fn: FunctionInfo) -> tuple[bool, str]:
-    """``donation_bounds`` may only *select a verified chain* and filter
-    empty ranges: a ``nparts`` guard, the keys-None fallback to
-    ``segment_by_weight``, the keyed path through
-    ``segment_by_key_range`` over ``coarsen_keys`` blocks, and a
-    ``hi > lo`` comprehension.  Any arithmetic on the bounds themselves
-    would break the exact cover the donees rely on."""
-    guard = any(
-        isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
-        and len(node.test.ops) == 1
-        and isinstance(node.test.ops[0], ast.Lt)
-        and _is_name(node.test.left, "nparts")
-        and any(isinstance(s, ast.Raise) for s in node.body)
-        for node in ast.walk(fn.node))
-    if not guard:
-        return False, "no `if nparts < 1: raise` guard: zero parts " \
-            "would yield an empty (non-covering) cut list"
-    if not _calls(fn, "segment_by_weight"):
-        return False, "keys-None fallback does not delegate to " \
-            "segment_by_weight"
-    keyed = [call for call in _calls(fn, "segment_by_key_range")
-             if call.args and isinstance(call.args[0], ast.Call)
-             and (_is_name(call.args[0].func, "coarsen_keys")
-                  or (isinstance(call.args[0].func, ast.Attribute)
-                      and call.args[0].func.attr == "coarsen_keys"))]
-    if not keyed:
-        return False, "keyed path does not cut coarsen_keys(...) blocks " \
-            "via segment_by_key_range"
-    if not _empty_filter_comp(fn):
-        return False, "no empty-range filter (`if hi > lo`) over the " \
-            "chain; any other transform could break disjointness"
-    return True, ""
-
-
 # ---------------------------------------------------------------------------
 # Lemma 3: the monotone-CSR axiom
 # ---------------------------------------------------------------------------
@@ -482,16 +438,11 @@ _LEMMAS = (
     ("RV501", "chain:segment_by_weight", ".segment_by_weight",
      verify_segment_by_weight),
     ("RV501", "chain:slice_bounds", ".slice_bounds", verify_slice_bounds),
-    ("RV502", "span:worker-born-slice", "._run_born_slice",
-     verify_span_pairing),
-    ("RV502", "span:inline-run-sliced", ".InlineFleet.run_sliced",
-     verify_span_pairing),
+    ("RV502", "span:born-spans", ".born_spans", verify_span_pairing),
     ("RV503", "axiom:monotone-csr", ".InteractionPlan.validate",
      verify_monotone_axiom),
-    ("RV504", "donation:key-range-chain", ".segment_by_key_range",
+    ("RV504", "key-range:chain", ".segment_by_key_range",
      verify_segment_by_key_range),
-    ("RV504", "donation:bounds-filter", ".donation_bounds",
-     verify_donation_bounds),
 )
 
 

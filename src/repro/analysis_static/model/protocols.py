@@ -322,10 +322,10 @@ def build_router_model(weak: frozenset[str] = frozenset()) -> Model:
 
     Weakenings: ``swallow_reject`` (``_forward`` no longer re-raises the
     shard's ``RejectedError`` -- the bounced client waits forever, a
-    lost future, RV402); ``donate_once`` (``_donate`` no longer cuts
-    disjoint ranges with ``donation_bounds`` -- a donated range can
-    execute twice, violating the exactly-once invariant behind
-    bit-identical donated energies, RV406).
+    lost future, RV402); ``donate_once`` (``_donate`` no longer takes
+    its ranges from ``slice_bounds`` through the shared pipeline -- a
+    donated range can execute twice, violating the exactly-once
+    invariant behind bit-identical donated energies, RV406).
     """
     propagate = "swallow_reject" not in weak
     exec_cap = 1 if "donate_once" not in weak else 2
@@ -463,6 +463,17 @@ class ProtocolSpec:
         return self.kinds.get(kind, "RV401")
 
 
+def _donation_cuts_with_slice_bounds(program: Program,
+                                     fn: FunctionInfo) -> bool:
+    """``_donate`` runs the shared row-range pipeline, and the pipeline
+    (when it is in the analysed tree) cuts its rows with ``slice_bounds``
+    -- the verified disjoint exact cover (RV501)."""
+    if not extract.calls_name(fn, "evaluate_ranges"):
+        return False
+    pipeline = extract.find_function(program, ".evaluate_ranges")
+    return pipeline is None or extract.calls_name(pipeline, "slice_bounds")
+
+
 def _fact(name: str, anchor: str, describe: str, weakens: str,
           check: Callable[[Program, FunctionInfo], bool]) -> CodeFact:
     return CodeFact(name=name, anchor=anchor, describe=describe,
@@ -584,10 +595,9 @@ SPECS: tuple[ProtocolSpec, ...] = (
                   lambda p, fn: extract.raises(fn, "RejectedError")),
             _fact("donation-bounds", ".ClusterRouter._donate",
                   "_donate() no longer cuts row ranges with "
-                  "donation_bounds(): donated ranges can overlap and a "
-                  "range may execute more than once",
-                  "donate_once",
-                  lambda p, fn: extract.calls_name(fn, "donation_bounds")),
+                  "slice_bounds() (via evaluate_ranges()): donated ranges "
+                  "can overlap and a range may execute more than once",
+                  "donate_once", _donation_cuts_with_slice_bounds),
         ),
         marks=(
             RequiredMark("cluster", "submit", ".ClusterRouter.submit"),

@@ -175,12 +175,11 @@ CHECKS: dict[str, Check] = {
         ),
         Check(
             "RV504",
-            "donation-cover-unproven",
-            "donated key-range cuts are not provably a disjoint exact cover",
-            "donation_bounds must keep the guarded delegation shape "
-            "(nparts guard; coarsen_keys; segment_by_key_range snap-forward "
-            "with the final cut forced to n; empty ranges dropped by hi > "
-            "lo) -- the code facts behind the RV406 exactly-once invariant",
+            "key-range-cover-unproven",
+            "key-range row cuts are not provably a disjoint exact cover",
+            "segment_by_key_range must keep the chained fold over a "
+            "segment_by_weight chain (sorted-key guard; snap forward with "
+            "side=\"right\"; end = max(end, start); final cut forced to n)",
         ),
         Check(
             "RV601",

@@ -12,10 +12,9 @@ one warm fleet to N simulated shard nodes:
   (registry + warm fleet + server) under the cluster's shared clock;
 * :mod:`.router` -- the routing tier: forwards submissions to the
   owning shard, re-raises shard backpressure to the client, promotes
-  hit-ranked hot molecules to R replicas, and donates Hilbert
-  key-range row slices of large requests to idle shards;
-* :mod:`.donate` -- the key-range -> plan-row-range geometry donation
-  cuts along (PR 8's ownership primitive, reused as currency);
+  hit-ranked hot molecules to R replicas, and donates weight-balanced
+  row ranges of large requests to idle shards (the serving stack's one
+  row-range pipeline, :mod:`repro.serve.sliced`);
 * :mod:`.metrics` -- the fabric's only wall-clock reader plus the
   :class:`~repro.cluster.metrics.TrafficLedger` charging every routed
   byte through :meth:`~repro.parallel.machine.NetworkSpec.p2p_cost`;
@@ -32,7 +31,6 @@ count, replication factor and donation configuration; see
 from __future__ import annotations
 
 from ..serve.scheduler import ServeConfig
-from .donate import donation_bounds, plan_row_keys
 from .metrics import TrafficLedger, aggregate_metrics, cluster_now
 from .ring import HashRing, ring_hash
 from .router import ClusterConfig, ClusterRouter
@@ -48,9 +46,7 @@ __all__ = [
     "TrafficLedger",
     "aggregate_metrics",
     "cluster_now",
-    "donation_bounds",
     "make_cluster",
-    "plan_row_keys",
     "ring_hash",
     "zipf_trace",
     "zipf_weights",

@@ -16,13 +16,13 @@ three things, none of which can change a served energy:
   protocol model checks exactly this, RV406);
 * **donation** -- when the target shard is saturated
   (:func:`repro.serve.policy.decide_donation`) and other shards are
-  idle, a large request is served by row-range fan-out: contiguous
-  Hilbert key ranges of its plans (:mod:`repro.cluster.donate`) execute
-  on idle shards' warm entries through the slice kernels of
-  :mod:`repro.serve.fleet`, and the owner replays the serial reduction
-  of :mod:`repro.serve.sliced` -- bit-identical to the cold path by the
-  PR-6 positional-write/serial-replay argument, independent of which
-  shard computed which range.
+  idle, a large request runs the one row-range pipeline of
+  :mod:`repro.serve.sliced` with the idle shards as its substrate: the
+  owner cuts weight-balanced row ranges exactly as the fleets do, each
+  range executes on a donee's own warm entry
+  (:class:`~repro.serve.sliced.LocalRanges`), and the owner replays the
+  serial reduction -- bit-identical to the cold path however the ranges
+  are placed (positional writes, serial replay).
 
 Every byte the tier moves -- forwards, results, replica pushes, donated
 tasks/partials/broadcasts -- is charged through
@@ -43,19 +43,18 @@ import numpy as np
 
 from ..analysis_static.flow.contracts import array_contract
 from ..analysis_static.model.annotations import protocol_event
-from ..core.born import push_integrals_to_atoms
-from ..core.energy import EnergyContext, epol_from_pair_sum
+from ..core.energy import epol_from_pair_sum
 from ..core.params import ApproximationParams
 from ..molecule.molecule import Molecule
 from ..parallel.machine import LONESTAR4_NETWORK, NetworkSpec
 from ..serve.client import ServeFuture
-from ..serve.fleet import EpsConfig, execute_born_rows, execute_epol_rows
+from ..plan.executor import born_spans
+from ..serve.fleet import EpsConfig
 from ..serve.policy import MODE_DONATED, decide_donation
 from ..serve.registry import RegistryEntry, content_key
 from ..serve.scheduler import RejectedError, ServeConfig
-from ..serve.sliced import (born_flat_sizes, fold_pair_terms,
-                            reduce_born_flat)
-from .donate import donation_bounds, plan_row_keys
+from ..serve.sliced import (Bounds, LocalRanges, RangeTerms,
+                            evaluate_ranges, fold_pair_terms)
 from .metrics import TrafficLedger, aggregate_metrics, cluster_now
 from .ring import HashRing
 from .shard import ShardNode
@@ -365,75 +364,52 @@ class ClusterRouter:
                 eps: EpsConfig, entry: RegistryEntry) -> ServeFuture:
         """Serve one request by row-range fan-out over idle shards.
 
-        The owner cuts its plans along Hilbert key ranges
-        (:func:`donation_bounds`), each donee executes its ranges
-        against its *own* warm entry (deterministically rebuilt ->
-        identical plans), and the owner replays the serial reduction.
-        Failures settle the future, exactly like shard-side serving.
+        The owner runs the shared pipeline over ``len(donees)``
+        weight-balanced ranges per phase; each range executes against a
+        donee's *own* warm entry (deterministically rebuilt -> identical
+        plans) and the owner replays the serial reduction.  Failures
+        settle the future, exactly like shard-side serving.
         """
         future = ServeFuture(key=key)
         owner = self.shards[owner_id]
         owner.metrics.record_admission(True)
         t0 = self._clock()
-        nranges = 0
+
+        def born_phase(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+            # Donees write their spans into the owner's flat arrays; the
+            # span bytes are what the wire would carry back.
+            far = np.zeros(plans.born.far_nodes.shape)
+            near = np.zeros(plans.born.near_points.shape)
+
+            def run(donee: LocalRanges, lo: int, hi: int) -> int:
+                donee.born_phase([(lo, hi)], far, near)
+                far_span, near_span = born_spans(plans.born, lo, hi)
+                return int(far[far_span].nbytes + near[near_span].nbytes)
+
+            self._donate_phase(key, owner_id, donees, eps, bounds, run)
+            return far, near
+
+        def epol_phase(bounds: Bounds,
+                       born_sorted: np.ndarray) -> list[RangeTerms]:
+            out: list[RangeTerms] = []
+
+            def run(donee: LocalRanges, lo: int, hi: int) -> int:
+                out.extend(donee.epol_phase([(lo, hi)], born_sorted))
+                return int(out[-1][2].nbytes + out[-1][3].nbytes)
+
+            # Every donee of this phase first receives the Born radii.
+            self._donate_phase(key, owner_id, donees, eps, bounds, run,
+                               broadcast_nbytes=int(born_sorted.nbytes))
+            return out
+
         try:
             plans = entry.plans_for(eps.eps_born, eps.eps_epol)
-            atoms = entry.calc.atom_tree()
-            quad = entry.calc.quad_tree()
-            donee_entries = {
-                node_id: self._ensure_registered(key, node_id,
-                                                 kind="donate_publish")
-                for node_id in donees}
-
-            # Phase 1: Born flat spans, one contiguous key range per
-            # donee, scattered positionally into the owner's flat CSR.
-            far_total, near_total = born_flat_sizes(plans.born)
-            far_flat = np.zeros(far_total)
-            near_flat = np.zeros(near_total)
-            born_bounds = donation_bounds(
-                plans.born.row_pair_weights(),
-                plan_row_keys(plans.born, quad.tree), len(donees))
-
-            def run_born(node_id: str, lo: int, hi: int) -> int:
-                (far, near), = execute_born_rows(
-                    donee_entries[node_id], eps, [(lo, hi)])
-                f0 = int(plans.born.far_start[lo])
-                n0 = int(plans.born.near_point_start[lo])
-                far_flat[f0:f0 + len(far)] = far
-                near_flat[n0:n0 + len(near)] = near
-                return int(far.nbytes + near.nbytes)
-
-            self._donate_phase(owner_id, donees, born_bounds, run_born)
-            partial = reduce_born_flat(plans.born, atoms, far_flat,
-                                       near_flat)
-            born_sorted = push_integrals_to_atoms(
-                atoms, partial,
-                max_radius=2.0 * entry.molecule.bounding_radius)
-
-            # The Born radii broadcast every donee needs for phase 2.
-            for node_id in donees:
-                self.traffic.charge(node_id, int(born_sorted.nbytes),
-                                    kind="donate_broadcast")
-
-            # Phase 2: E_pol per-row terms, scattered positionally and
-            # folded in serial row order by the owner.
-            ectx = EnergyContext.build(atoms, born_sorted, eps.eps_epol)
-            far_terms = np.zeros(plans.epol.nrows)
-            near_terms = np.zeros(plans.epol.nrows)
-            epol_bounds = donation_bounds(
-                plans.epol.row_pair_weights(nbins=ectx.binning.nbins),
-                plan_row_keys(plans.epol, atoms.tree), len(donees))
-
-            def run_epol(node_id: str, lo: int, hi: int) -> int:
-                (ft, nt), = execute_epol_rows(
-                    donee_entries[node_id], eps, [(lo, hi)], born_sorted)
-                far_terms[lo:hi] = ft
-                near_terms[lo:hi] = nt
-                return int(ft.nbytes + nt.nbytes)
-
-            self._donate_phase(owner_id, donees, epol_bounds, run_epol)
-            nranges = len(born_bounds) + len(epol_bounds)
-            energy = self._donate_finish(entry, far_terms, near_terms)
+            terms = evaluate_ranges(
+                plans, entry.calc.atom_tree(), born_phase, epol_phase,
+                nparts=len(donees),
+                max_radius=2.0 * entry.molecule.bounding_radius,
+                eps_epol=eps.eps_epol)
+            energy = self._donate_finish(entry, terms.far, terms.near)
         except Exception as err:
             owner.metrics.record_done(self._clock() - t0, ok=False,
                                       mode=MODE_DONATED)
@@ -441,29 +417,39 @@ class ClusterRouter:
             return future
         latency = self._clock() - t0
         owner.metrics.record_done(latency, ok=True, mode=MODE_DONATED)
+        nranges = terms.born_ranges + terms.epol_ranges
         with self._lock:
             self.counters["donations"] += 1
             self.counters["donated_ranges"] += nranges
         future._resolve(energy, worker=-1, eval_seconds=latency,
                         cold_attach=False, latency_seconds=latency,
                         mode=MODE_DONATED, nslices=nranges,
-                        donees=list(donees))
+                        donees=donees[:terms.nslices])
         return future
 
     @protocol_event("cluster", "exec")
-    def _donate_phase(self, owner_id: str, donees: list[str],
-                      bounds: list[tuple[int, int]],
-                      run_one: Callable[[str, int, int], int]) -> None:
+    def _donate_phase(self, key: str, owner_id: str, donees: list[str],
+                      eps: EpsConfig, bounds: Bounds,
+                      run_one: Callable[[LocalRanges, int, int], int], *,
+                      broadcast_nbytes: int = 0) -> None:
         """One donated phase: range ``i`` executes on donee ``i`` (both
-        orderings deterministic), with task bytes charged to the donee,
-        measured execution seconds attributed to it, and the partial's
-        bytes charged back to the owner."""
-        for i, (lo, hi) in enumerate(bounds):
-            node_id = donees[i % len(donees)]
+        orderings deterministic), against the donee's own warm entry.  A
+        donee is registered only when it is handed a range, and first
+        receives the phase's broadcast; task bytes are charged to the
+        donee, measured execution seconds (registration excluded)
+        attributed to it, and the partial's bytes charged back to the
+        owner."""
+        for node_id, (lo, hi) in zip(donees, bounds):
+            donee = self._ensure_registered(key, node_id,
+                                            kind="donate_publish")
+            if broadcast_nbytes:
+                self.traffic.charge(node_id, broadcast_nbytes,
+                                    kind="donate_broadcast")
             self.traffic.charge(node_id, self.config.request_nbytes,
                                 kind="donate_task")
             t1 = self._clock()
-            result_nbytes = run_one(node_id, lo, hi)
+            result_nbytes = run_one(LocalRanges.for_entry(
+                donee, eps.eps_born, eps.eps_epol), lo, hi)
             self.shards[node_id].add_busy(self._clock() - t1)
             self.traffic.charge(owner_id, result_nbytes,
                                 kind="donate_result")

@@ -103,48 +103,38 @@ class _Scratch:
         return self._buf[:n].reshape(shape)
 
 
+def born_spans(plan: InteractionPlan, lo: int, hi: int
+               ) -> tuple[slice, slice]:
+    """The flat-CSR ``(far, near)`` value spans of Born rows ``[lo, hi)``
+    -- from the plan's CSR starts, never from execution order.  Every
+    writer of flat Born values (and the ``REPRO_CHECKS`` write-intent
+    recorder) takes its spans from here."""
+    f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])
+    n0, n1 = int(plan.near_point_start[lo]), int(plan.near_point_start[hi])
+    return slice(f0, f1), slice(n0, n1)
+
+
 @declares_effects()
 @array_contract(far="(?,) float64 view-ok", near="(?,) float64 view-ok")
-def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
-                      quad: QuadTreeData, *,
-                      row_range: tuple[int, int] | None = None,
-                      per_leaf: list[WorkCounters] | None = None,
-                      flat_out: dict[str, np.ndarray] | None = None
-                      ) -> BornPartial:
-    """APPROX-INTEGRALS over plan rows ``[lo, hi)``, batched.
-
-    Bit-identical to running the legacy per-leaf loop over the same target
-    leaves; partials from disjoint row ranges combine by addition exactly
-    as the per-leaf partials did.
-
-    ``flat_out`` hands ownership of the accumulation to the caller: a
-    mapping with ``"far"`` and ``"near"`` float64 arrays sized to the row
-    range's flat CSR spans (``far_start[hi] - far_start[lo]`` and
-    ``near_point_start[hi] - near_point_start[lo]``).  The kernel then
-    writes each contribution value into those arrays -- every slot
-    exactly once, by position -- and *skips* the two ``np.add.at``
-    scatters, returning a zero partial (counters still set).  Because
-    flat values are position-written, a caller that concatenates the
-    slices of disjoint row ranges and replays the full-range scatters
-    reproduces the serial result bit for bit (the scatter order, not the
-    row partitioning, carries the accumulation order).
-    """
+def born_flat_values(plan: InteractionPlan, atoms: AtomTreeData,
+                     quad: QuadTreeData, far: np.ndarray, near: np.ndarray,
+                     *, row_range: tuple[int, int] | None = None) -> None:
+    """APPROX-INTEGRALS contribution values of plan rows ``[lo, hi)``,
+    written into ``far``/``near`` (sized to the rows' :func:`born_spans`)
+    once per slot, by position; nothing is added up.  The caller's
+    scatter carries the accumulation order -- :func:`execute_born_plan`
+    for a range partial, or one full-plan scatter over values filled
+    range by range anywhere (:func:`repro.serve.sliced.reduce_born_flat`),
+    bit-identical however the rows were partitioned."""
     lo, hi = _check_plan(plan, "born", row_range)
-    partial = BornPartial.zeros(atoms)
-    partial.counters = plan.counters(lo, hi)
-    if per_leaf is not None:
-        per_leaf.extend(plan.row_counters(lo, hi))
-    if flat_out is not None:
-        for fname, total in (
-                ("far", int(plan.far_start[hi]) - int(plan.far_start[lo])),
-                ("near", (int(plan.near_point_start[hi])
-                          - int(plan.near_point_start[lo])))):
-            if flat_out[fname].shape != (total,):
-                raise ValueError(
-                    f"flat_out[{fname!r}] must have shape ({total},) for "
-                    f"rows [{lo}, {hi}), got {flat_out[fname].shape}")
+    far_span, near_span = born_spans(plan, lo, hi)
+    want = ((far_span.stop - far_span.start,),
+            (near_span.stop - near_span.start,))
+    if (far.shape, near.shape) != want:
+        raise ValueError(f"far/near must have shapes {want} for rows "
+                         f"[{lo}, {hi}), got {far.shape}/{near.shape}")
     if hi == lo:
-        return partial
+        return
     rows = np.arange(lo, hi, dtype=np.int64)
     a_tree = atoms.tree
     q_tree = quad.tree
@@ -152,11 +142,8 @@ def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
 
     # -- far field: s_A += n~_Q . (c_Q - c_A) / d^power, GEMV-batched ---
     far_counts = plan.far_counts[rows]
-    far_base = int(plan.far_start[lo])
-    far_total = int(plan.far_start[hi]) - far_base
-    if far_total:
-        contrib_flat = (flat_out["far"] if flat_out is not None
-                        else np.empty(far_total))
+    far_base = far_span.start
+    if far.size:
         centers = q_tree.ball_center[plan.target_leaves]
         ntilde = quad.node_pseudo_normals[plan.target_leaves]
         for count in np.unique(far_counts):
@@ -172,23 +159,13 @@ def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
                 d2 = plan.far_dist[span] ** 2
                 denom = d2 * d2 * d2 if power == 6 else d2 * d2
                 dots = np.matmul(diff, ntilde[r][:, :, None])[:, :, 0]
-                contrib_flat[span.ravel() - far_base] = \
-                    (dots / denom).ravel()
-        # Row-major element order == the legacy per-leaf fancy-index "+="
-        # sequence, so every s_node slot sees the same addition order.
-        if flat_out is None:
-            np.add.at(partial.s_node,
-                      plan.far_nodes[far_base:far_base + far_total],
-                      contrib_flat)
+                far[span.ravel() - far_base] = (dots / denom).ravel()
 
     # -- near field: exact r^power tiles, GEMM-batched by tile shape ----
     q_sizes = plan.target_sizes[rows]
     a_counts = plan.near_point_counts[rows]
-    near_base = int(plan.near_point_start[lo])
-    near_total = int(plan.near_point_start[hi]) - near_base
-    if near_total:
-        near_flat = (flat_out["near"] if flat_out is not None
-                     else np.empty(near_total))
+    near_base = near_span.start
+    if near.size:
         qs_all = plan.target_point_start
         # One CSR-ordered (and plan-memoised) gather of every near atom
         # position; each segment below is then a *contiguous view* into
@@ -197,9 +174,8 @@ def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
         # Cut every row's atom range into segments of ~MAX_TILE_ELEMS
         # tile elements so each GEMM block is L2-resident.  Bit-neutral:
         # every (row, atom) output element keeps its full-Q reduction
-        # below, and near_flat slots are written once, by position --
-        # only the single np.add.at after the loop carries the
-        # accumulation order.
+        # below, and near slots are written once, by position -- only
+        # the caller's scatter carries the accumulation order.
         blk = np.maximum(MAX_TILE_ELEMS // np.maximum(q_sizes, 1), 1)
         nseg = -(-a_counts // blk)
         seg_row = np.repeat(rows, nseg)
@@ -296,11 +272,34 @@ def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
                     np.nan_to_num(term, copy=False, nan=0.0, posinf=0.0,
                                   neginf=0.0)
                 np.sum(term, axis=1,
-                       out=near_flat[s0 - near_base:s0 - near_base + ln])
-        if flat_out is None:
-            np.add.at(partial.s_atom,
-                      plan.near_points[near_base:near_base + near_total],
-                      near_flat)
+                       out=near[s0 - near_base:s0 - near_base + ln])
+
+
+@declares_effects()
+def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
+                      quad: QuadTreeData, *,
+                      row_range: tuple[int, int] | None = None,
+                      per_leaf: list[WorkCounters] | None = None
+                      ) -> BornPartial:
+    """APPROX-INTEGRALS over plan rows ``[lo, hi)``, batched.
+
+    Bit-identical to running the legacy per-leaf loop over the same target
+    leaves; partials from disjoint row ranges combine by addition exactly
+    as the per-leaf partials did.  The :func:`born_flat_values` kernel
+    plus two ``np.add.at`` scatters in row-major element order -- the
+    legacy per-leaf fancy-index ``+=`` sequence.
+    """
+    lo, hi = _check_plan(plan, "born", row_range)
+    partial = BornPartial.zeros(atoms)
+    partial.counters = plan.counters(lo, hi)
+    if per_leaf is not None:
+        per_leaf.extend(plan.row_counters(lo, hi))
+    far_span, near_span = born_spans(plan, lo, hi)
+    far = np.empty(far_span.stop - far_span.start)
+    near = np.empty(near_span.stop - near_span.start)
+    born_flat_values(plan, atoms, quad, far, near, row_range=(lo, hi))
+    np.add.at(partial.s_node, plan.far_nodes[far_span], far)
+    np.add.at(partial.s_atom, plan.near_points[near_span], near)
     return partial
 
 
@@ -322,14 +321,6 @@ def epol_row_terms(plan: InteractionPlan, ctx: EnergyContext, *,
     :mod:`repro.serve.sliced`.
     """
     lo, hi = _check_plan(plan, "epol", row_range)
-    if hi == lo:
-        return np.zeros(0), np.zeros(0)
-    return _epol_terms(plan, ctx, lo, hi)
-
-
-def _epol_terms(plan: InteractionPlan, ctx: EnergyContext,
-                lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Far/near term arrays for rows ``[lo, hi)`` (``hi > lo``)."""
     rows = np.arange(lo, hi, dtype=np.int64)
     tree = ctx.atoms.tree
     pos = tree.sorted_points
@@ -501,9 +492,7 @@ def execute_epol_plan(plan: InteractionPlan, ctx: EnergyContext, *,
     counters = plan.counters(lo, hi, nbins=nbins)
     if per_leaf is not None:
         per_leaf.extend(plan.row_counters(lo, hi, nbins=nbins))
-    if hi == lo:
-        return EpolPartial(pair_sum=0.0, counters=counters)
-    far_terms, near_terms = _epol_terms(plan, ctx, lo, hi)
+    far_terms, near_terms = epol_row_terms(plan, ctx, row_range=(lo, hi))
 
     # Ascending row order, far before near within a row -- the exact
     # left-fold the legacy loop performed (order is the contract).

@@ -12,8 +12,9 @@ turns the repo's pieces into that request/response service:
 * :mod:`.fleet` -- warm in-process or OS-process workers with molecule
   and plan arrays published once via shared memory;
 * :mod:`.policy`/:mod:`.sliced` -- the pure batch-vs-slice routing
-  decision and the bit-exact intra-request slice reduction (one giant
-  molecule fanned over every warm worker);
+  decision and the one row-range pipeline every evaluation runs, with
+  its bit-exact reductions (batched, sliced over every warm worker, or
+  donated across shards);
 * :mod:`.client` -- futures-style submit/poll/await;
 * :mod:`.metrics` -- latency/throughput/batching accounting (the layer's
   only wall-clock reader, repro-lint rule REP003);
@@ -30,15 +31,15 @@ from __future__ import annotations
 
 from .client import ServeClient, ServeFuture
 from .fleet import (EpsConfig, EvalResult, FleetError, InlineFleet,
-                    ProcessFleet, SliceError, evaluate_pipeline,
-                    execute_born_rows, execute_epol_rows)
+                    ProcessFleet, SliceError)
 from .metrics import ServeMetrics, latency_summary, now
 from .policy import (MODE_BATCHED, MODE_DONATED, MODE_SLICED,
                      decide_donation, decide_mode)
 from .registry import MoleculeRegistry, RegistryEntry, content_key
 from .scheduler import (EpolServer, RejectedError, ServeConfig,
                         ServerClosed)
-from .sliced import fold_pair_terms, reduce_born_flat, slice_bounds
+from .sliced import (LocalRanges, evaluate_ranges, fold_pair_terms,
+                     reduce_born_flat, slice_bounds)
 
 __all__ = [
     "EpolServer",
@@ -46,6 +47,7 @@ __all__ = [
     "EvalResult",
     "FleetError",
     "InlineFleet",
+    "LocalRanges",
     "MODE_BATCHED",
     "MODE_DONATED",
     "MODE_SLICED",
@@ -62,9 +64,7 @@ __all__ = [
     "content_key",
     "decide_donation",
     "decide_mode",
-    "evaluate_pipeline",
-    "execute_born_rows",
-    "execute_epol_rows",
+    "evaluate_ranges",
     "fold_pair_terms",
     "latency_summary",
     "make_server",

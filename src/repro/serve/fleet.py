@@ -1,7 +1,8 @@
 """Warm execution fleets: where served requests actually compute.
 
 Two fleets implement one contract (``run_batch`` over ``(request id,
-registry entry, epsilon config)`` items, plus ``forget``/``shutdown``):
+registry entry, epsilon config)`` items, ``run_sliced`` for one request
+cut into row ranges, plus ``forget``/``shutdown``):
 
 * :class:`InlineFleet` ("sim" backend) evaluates in the scheduler thread
   against the registry entry's own calculator -- zero processes, the
@@ -15,17 +16,17 @@ registry entry, epsilon config)`` items, plus ``forget``/``shutdown``):
   octrees, cache the prepared state, and then serve every later request
   for that molecule at plan-execution cost.
 
-Determinism contract: a served request's energy is bit-identical to a
-cold ``driver.run()`` of the same configuration, per request, regardless
-of fleet width, batch shape, routing mode or arrival order.  Batched
-requests evaluate the *whole* plan through :func:`evaluate_pipeline` --
-the exact kernel sequence of
-:meth:`repro.core.driver.PolarizationEnergyCalculator.profile`.  Sliced
-requests (``run_sliced``) fan contiguous weight-balanced plan row ranges
-over every worker and reduce through :mod:`repro.serve.sliced`, which
-replays the serial scatter and fold operations verbatim -- worker width
-picks who computes which rows, never the order anything is added (see
-``docs/SERVING.md``, "Intra-request parallelism").
+Every evaluation runs the one row-range pipeline of
+:mod:`repro.serve.sliced` (:func:`~repro.serve.sliced.evaluate_ranges`);
+the fleets only say where its ranges execute.  A batched request is one
+range, run in the scheduler thread or in a worker's ``"run"`` task; a
+sliced request fans weight-balanced ranges over the simulated width
+(inline) or over every worker (process fleet, through a per-request
+scratch segment).  The reductions replay the serial scatter and fold
+verbatim, so a served energy is bit-identical to a cold ``driver.run()``
+of the same configuration regardless of fleet width, batch shape,
+routing mode or arrival order (see ``docs/SERVING.md``, "Intra-request
+parallelism").
 """
 
 from __future__ import annotations
@@ -43,21 +44,20 @@ from ..analysis_static.checks import checks_enabled
 from ..analysis_static.flow.contracts import array_contract
 from ..analysis_static.races import (WriteIntentTracker, find_races,
                                      intents_from_payload)
-from ..core.born import AtomTreeData, QuadTreeData, push_integrals_to_atoms
-from ..core.energy import EnergyContext, epol_from_pair_sum
+from ..core.born import AtomTreeData, QuadTreeData
+from ..core.energy import epol_from_pair_sum
 from ..core.params import ApproximationParams
 from ..molecule.molecule import Molecule
 from ..parallel.procpool import (PersistentWorkerPool, PoolError,
                                  SharedArrayBundle)
 from ..plan import InteractionPlan, PlanSet
-from ..plan.executor import (epol_row_terms, execute_born_plan,
-                             execute_epol_plan)
+from ..plan.executor import born_spans
 from ..plan.schema import PLAN_ARRAY_FIELDS
 from ..surface.sas import SurfaceQuadrature
 from .metrics import now
 from .registry import RegistryEntry
-from .sliced import (born_flat_sizes, epol_nbins, fold_pair_terms,
-                     reduce_born_flat, slice_bounds)
+from .sliced import (Bounds, LocalRanges, PairTerms, RangeTerms,
+                     evaluate_ranges, fold_pair_terms)
 
 #: Molecules one warm worker keeps attached before evicting its oldest.
 WORKER_CACHE_ENTRIES = 8
@@ -67,6 +67,10 @@ WORKER_CACHE_ENTRIES = 8
 #: losing that task mid-flight.  Fault-injection hook for the degraded
 #: fleet suite; nothing in the serving path ever sends it.
 CRASH_NEXT = "__crash_next__"
+
+#: Pause after a worker hands a second slice of one round back to the
+#: queue, so that a peer still starting up can take it.
+SLICE_HANDBACK_SECONDS = 0.002
 
 
 class FleetError(RuntimeError):
@@ -114,71 +118,19 @@ class EvalResult:
     nslices: int = 1
 
 
-def evaluate_pipeline(molecule: Molecule, atoms: AtomTreeData,
-                      quad: QuadTreeData, plans: PlanSet,
-                      params: ApproximationParams, *,
-                      eps_epol: float) -> float:
-    """Full-plan serial evaluation -- the serving layer's single kernel.
-
-    Executes every plan row in ascending order: exactly the computation
-    of ``PolarizationEnergyCalculator.profile()``, so both fleets (and
-    every worker of the process fleet) produce energies bit-identical to
-    the cold serial driver for the same configuration.
-    """
-    partial = execute_born_plan(plans.born, atoms, quad)
-    born_sorted = push_integrals_to_atoms(
-        atoms, partial, max_radius=2.0 * molecule.bounding_radius)
-    ectx = EnergyContext.build(atoms, born_sorted, eps_epol)
-    epartial = execute_epol_plan(plans.epol, ectx)
-    return epol_from_pair_sum(epartial.pair_sum,
-                              epsilon_solvent=params.epsilon_solvent)
-
-
-@array_contract(far="(?,) float64 C", near="(?,) float64 C")
-def execute_born_rows(entry: RegistryEntry, cfg: "EpsConfig",
-                      bounds: list[tuple[int, int]]
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Execute Born-plan row ranges against a warm entry, returning the
-    positional flat-CSR ``(far, near)`` span pair per range.
-
-    The cluster's work-donation path runs this on *donee* shards: each
-    donated Hilbert key range maps to a contiguous plan row range, and
-    because the flat outputs are positional (span offsets come from the
-    plan's CSR starts, not execution order) the owner's serial replay of
-    :func:`~repro.serve.sliced.reduce_born_flat` is bit-identical to a
-    single-node cold run regardless of which shard computed which range.
-    """
-    plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
-    atoms = entry.calc.atom_tree()
-    quad = entry.calc.quad_tree()
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for lo, hi in bounds:
-        f0 = int(plans.born.far_start[lo])
-        f1 = int(plans.born.far_start[hi])
-        n0 = int(plans.born.near_point_start[lo])
-        n1 = int(plans.born.near_point_start[hi])
-        far = np.zeros(f1 - f0)
-        near = np.zeros(n1 - n0)
-        execute_born_plan(plans.born, atoms, quad, row_range=(lo, hi),
-                          flat_out={"far": far, "near": near})
-        out.append((far, near))
-    return out
-
-
-@array_contract(born_sorted="(npoints,) float64 view-ok")
-def execute_epol_rows(entry: RegistryEntry, cfg: "EpsConfig",
-                      bounds: list[tuple[int, int]],
-                      born_sorted: np.ndarray
-                      ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Execute E_pol-plan row ranges against a warm entry, returning the
-    per-row ``(far_terms, near_terms)`` pair for each range (donation's
-    second phase; the owner scatters the spans positionally and reduces
-    with :func:`~repro.serve.sliced.fold_pair_terms`)."""
-    plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
-    ectx = EnergyContext.build(entry.calc.atom_tree(), born_sorted,
-                               cfg.eps_epol)
-    return [epol_row_terms(plans.epol, ectx, row_range=(lo, hi))
-            for lo, hi in bounds]
+def _evaluate_local(molecule: Molecule, ranges: LocalRanges,
+                    params: ApproximationParams, *,
+                    nparts: int) -> tuple[float, PairTerms]:
+    """The pipeline with every range run in this thread: one range for a
+    batched request (exactly the computation of
+    ``PolarizationEnergyCalculator.profile()``), ``nparts`` for
+    :meth:`InlineFleet.run_sliced`.  Returns the energy and the terms."""
+    terms = evaluate_ranges(ranges.plans, ranges.atoms, ranges.born_phase,
+                            ranges.epol_phase, nparts=nparts,
+                            max_radius=2.0 * molecule.bounding_radius,
+                            eps_epol=ranges.eps_epol)
+    return epol_from_pair_sum(fold_pair_terms(terms.far, terms.near),
+                              epsilon_solvent=params.epsilon_solvent), terms
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +163,10 @@ class InlineFleet:
         for req_id, entry, cfg in items:
             t0 = now()
             try:
-                plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
-                energy = evaluate_pipeline(
-                    entry.molecule, entry.calc.atom_tree(),
-                    entry.calc.quad_tree(), plans, entry.params,
-                    eps_epol=cfg.eps_epol)
+                energy, _ = _evaluate_local(
+                    entry.molecule,
+                    LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol),
+                    entry.params, nparts=1)
                 out[req_id] = EvalResult(energy=energy, worker=0,
                                          eval_seconds=now() - t0)
             except Exception:
@@ -226,63 +177,25 @@ class InlineFleet:
 
     def run_sliced(self, req_id: int, entry: RegistryEntry,
                    cfg: EpsConfig) -> EvalResult:
-        """One request, row-sliced into ``nworkers`` ranges (sequential).
-
-        Same slice kernels, same parent-side reduction as
-        :meth:`ProcessFleet.run_sliced` -- bit-identical to
-        :func:`evaluate_pipeline` and a cold ``driver.run()`` for any
-        width.  Raises :class:`SliceError` on evaluation failure.
+        """One request, row-sliced into ``nworkers`` ranges run in turn --
+        bit-identical to a batched evaluation and a cold ``driver.run()``
+        for any width.  Raises :class:`SliceError` on evaluation failure.
         """
         if self._closed:
             raise FleetError("fleet is shut down")
         t0 = now()
         try:
-            plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
-            atoms = entry.calc.atom_tree()
-            quad = entry.calc.quad_tree()
-            far_total, near_total = born_flat_sizes(plans.born)
-            far_flat = np.zeros(far_total)
-            near_flat = np.zeros(near_total)
-            born_bounds = slice_bounds(plans.born.row_pair_weights(),
-                                       self.nworkers)
-            for lo, hi in born_bounds:
-                f0 = int(plans.born.far_start[lo])
-                f1 = int(plans.born.far_start[hi])
-                n0 = int(plans.born.near_point_start[lo])
-                n1 = int(plans.born.near_point_start[hi])
-                execute_born_plan(plans.born, atoms, quad,
-                                  row_range=(lo, hi),
-                                  flat_out={"far": far_flat[f0:f1],
-                                            "near": near_flat[n0:n1]})
-            partial = reduce_born_flat(plans.born, atoms, far_flat,
-                                       near_flat)
-            born_sorted = push_integrals_to_atoms(
-                atoms, partial,
-                max_radius=2.0 * entry.molecule.bounding_radius)
-            ectx = EnergyContext.build(atoms, born_sorted, cfg.eps_epol)
-            epol_bounds = slice_bounds(
-                plans.epol.row_pair_weights(nbins=ectx.binning.nbins),
-                self.nworkers)
-            far_terms = np.zeros(plans.epol.nrows)
-            near_terms = np.zeros(plans.epol.nrows)
-            for lo, hi in epol_bounds:
-                ft, nt = epol_row_terms(plans.epol, ectx,
-                                        row_range=(lo, hi))
-                far_terms[lo:hi] = ft
-                near_terms[lo:hi] = nt
-            pair_sum = fold_pair_terms(far_terms, near_terms)
-            energy = epol_from_pair_sum(
-                pair_sum, epsilon_solvent=entry.params.epsilon_solvent)
-        except FleetError:
-            raise
+            energy, terms = _evaluate_local(
+                entry.molecule,
+                LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol),
+                entry.params, nparts=self.nworkers)
         except Exception as err:
             raise SliceError(
                 f"sliced request {req_id} failed: "
                 f"{traceback.format_exc()}") from err
         return EvalResult(energy=energy, worker=0,
                           eval_seconds=now() - t0, mode="sliced",
-                          nslices=max(len(born_bounds), len(epol_bounds),
-                                      1))
+                          nslices=terms.nslices)
 
     def forget(self, entry: RegistryEntry) -> None:
         """Nothing published; the registry eviction already dropped it."""
@@ -348,15 +261,13 @@ class _WorkerState:
         # Deterministic rebuild from the shared coordinates: the published
         # plans' node/point ids are valid against these trees by the same
         # replicated-data argument run_real relies on.
-        self.atoms = AtomTreeData.build(self.molecule,
-                                        leaf_cap=params.leaf_cap,
-                                        sfc=params.tree_sfc,
-                                        compress=params.tree_compress)
-        self.quad = QuadTreeData.build(surface,
-                                       leaf_cap=params.quad_leaf_cap,
-                                       sfc=params.tree_sfc,
-                                       compress=params.tree_compress)
-        self.plans = PlanSet(
+        atoms = AtomTreeData.build(self.molecule, leaf_cap=params.leaf_cap,
+                                   sfc=params.tree_sfc,
+                                   compress=params.tree_compress)
+        quad = QuadTreeData.build(surface, leaf_cap=params.quad_leaf_cap,
+                                  sfc=params.tree_sfc,
+                                  compress=params.tree_compress)
+        plans = PlanSet(
             born=InteractionPlan.from_arrays(
                 plan_meta["born"],
                 {f: bundle.view(f"plan_born_{f}")
@@ -366,12 +277,13 @@ class _WorkerState:
                 {f: bundle.view(f"plan_epol_{f}")
                  for f in PLAN_ARRAY_FIELDS}))
         if checks_enabled():
-            self.plans.born.validate()
-            self.plans.epol.validate()
+            plans.born.validate()
+            plans.epol.validate()
+        self.ranges = LocalRanges(plans, atoms, quad, params.eps_epol)
 
     def release(self) -> None:
         """Drop every view, then try to unmap the segment (eviction)."""
-        self.molecule = self.atoms = self.quad = self.plans = None  # type: ignore[assignment]
+        self.molecule = self.ranges = None  # type: ignore[assignment]
         try:
             self.bundle.close()
         except BufferError:
@@ -399,55 +311,29 @@ def _cached_state(cache: dict[str, _WorkerState], name: str, layout: Any,
     return state, cold
 
 
-def _run_born_slice(state: _WorkerState, rank: int, scratch_name: str,
-                    scratch_layout: Any, lo: int, hi: int) -> list | None:
-    """Round 1 of a sliced request: write this range's flat Born
-    contribution values into the request scratch; returns the write
-    intents under REPRO_CHECKS (else None)."""
-    plan = state.plans.born
-    f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])
-    n0 = int(plan.near_point_start[lo])
-    n1 = int(plan.near_point_start[hi])
-    scratch = SharedArrayBundle.attach(scratch_name, scratch_layout,
-                                       pin=False)
-    try:
-        far_view = scratch.view("born_far")
-        near_view = scratch.view("born_near")
-        execute_born_plan(plan, state.atoms, state.quad,
-                          row_range=(lo, hi),
-                          flat_out={"far": far_view[f0:f1],
-                                    "near": near_view[n0:n1]})
-        intents = None
-        if checks_enabled():
-            # Declare this slice's scratch writes so the parent can run
-            # the race detector across every worker of the request: the
-            # kernel writes exactly the flat CSR spans of its row range.
-            tracker = WriteIntentTracker(rank, capture_stacks=False)
-            tracker.record_write("sliced:born_far", far_view.shape,
-                                 slice(f0, f1))
-            tracker.record_write("sliced:born_near", near_view.shape,
-                                 slice(n0, n1))
-            intents = tracker.payload()
-        del far_view, near_view
-        return intents
-    finally:
-        scratch.close()
+def _run_slice(state: _WorkerState, rank: int, kind: str,
+               scratch: SharedArrayBundle, lo: int, hi: int) -> tuple:
+    """One row range of a sliced request against its scratch segment.
 
-
-def _run_epol_slice(state: _WorkerState, scratch_name: str,
-                    scratch_layout: Any, lo: int, hi: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Round 2 of a sliced request: per-row E_pol terms for ``[lo, hi)``
-    against the parent-reduced Born radii in the request scratch."""
-    scratch = SharedArrayBundle.attach(scratch_name, scratch_layout,
-                                       pin=False)
-    try:
-        born_sorted = np.array(scratch.view("born_sorted"))
-    finally:
-        scratch.close()
-    ectx = EnergyContext.build(state.atoms, born_sorted,
-                               state.params.eps_epol)
-    return epol_row_terms(state.plans.epol, ectx, row_range=(lo, hi))
+    Round 1 (``"born_slice"``) writes the range's flat Born values into
+    the scratch and returns ``(intents,)``: under REPRO_CHECKS the spans
+    it wrote, so the parent can run the race detector across every
+    worker of the request (else None).  Round 2 returns the range's
+    per-row ``(far, near)`` E_pol terms against the parent-reduced Born
+    radii the scratch holds."""
+    if kind == "epol_slice":
+        (_, _, far_t, near_t), = state.ranges.epol_phase(
+            [(lo, hi)], np.array(scratch.view("born_sorted")))
+        return far_t, near_t
+    views = (scratch.view("born_far"), scratch.view("born_near"))
+    state.ranges.born_phase([(lo, hi)], *views)
+    if not checks_enabled():
+        return (None,)
+    tracker = WriteIntentTracker(rank, capture_stacks=False)
+    for field, view, span in zip(("born_far", "born_near"), views,
+                                 born_spans(state.ranges.plans.born, lo, hi)):
+        tracker.record_write(f"sliced:{field}", view.shape, span)
+    return (tracker.payload(),)
 
 
 def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
@@ -458,9 +344,16 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
     (whole-plan evaluation), ``"born_slice"``/``"epol_slice"`` (one row
     range of a sliced request), ``"forget"`` (drop cached publication)
     and :data:`CRASH_NEXT` (test-only fault injection).
+
+    A worker runs at most one slice of each round: it hands a second one
+    back to the queue for a peer.  A round has at most ``P`` slices, so
+    they land on distinct workers; a request cut into ``P`` ranges
+    attaches its molecule on every worker, and later requests are warm
+    on every rank.
     """
     cache: dict[str, _WorkerState] = {}
     crash_armed = False
+    last_round: tuple | None = None
     while True:
         # A worker waiting for its next task has no liveness obligation:
         # the parent's shutdown sentinel is the wakeup, and a dead parent
@@ -482,6 +375,15 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
         if kind == CRASH_NEXT:
             crash_armed = True
             continue
+        if kind in ("born_slice", "epol_slice"):
+            # (request, phase, scratch segment) names one round.
+            round_key = (task[1], kind, task[7])
+            if round_key == last_round:
+                tasks.put(task)
+                # Let an idle peer take it before this worker polls again.
+                threading.Event().wait(SLICE_HANDBACK_SECONDS)
+                continue
+            last_round = round_key
         req_id = task[1] if len(task) > 1 else None
         if crash_armed:
             # Die with the task already dequeued and no result posted --
@@ -493,10 +395,8 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
                 state, cold = _cached_state(cache, name, layout, plan_meta,
                                             params, mol_name)
                 t0 = now()
-                energy = evaluate_pipeline(state.molecule, state.atoms,
-                                           state.quad, state.plans,
-                                           state.params,
-                                           eps_epol=state.params.eps_epol)
+                energy, _ = _evaluate_local(state.molecule, state.ranges,
+                                            state.params, nparts=1)
                 results.put(("ok", req_id, rank, energy, now() - t0, cold))
             elif kind in ("born_slice", "epol_slice"):
                 (_, req_id, name, layout, plan_meta, params, mol_name,
@@ -504,17 +404,18 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
                 state, cold = _cached_state(cache, name, layout, plan_meta,
                                             params, mol_name)
                 t0 = now()
+                scratch = SharedArrayBundle.attach(scratch_name,
+                                                   scratch_layout, pin=False)
+                try:
+                    out = _run_slice(state, rank, kind, scratch, lo, hi)
+                finally:
+                    scratch.close()
                 if kind == "born_slice":
-                    intents = _run_born_slice(state, rank, scratch_name,
-                                              scratch_layout, lo, hi)
                     results.put(("born_ok", req_id, rank, lo, hi,
-                                 now() - t0, cold, intents))
+                                 now() - t0, cold) + out)
                 else:
-                    far_t, near_t = _run_epol_slice(state, scratch_name,
-                                                    scratch_layout, lo, hi)
-                    results.put(("epol_ok", req_id, rank, lo, hi,
-                                 np.asarray(far_t), np.asarray(near_t),
-                                 now() - t0, cold))
+                    results.put(("epol_ok", req_id, rank, lo, hi) + out
+                                + (now() - t0, cold))
             else:
                 raise ValueError(f"unknown worker task kind {kind!r}")
         except BaseException:
@@ -637,17 +538,15 @@ class ProcessFleet:
                    cfg: EpsConfig) -> EvalResult:
         """One request fanned over every warm worker, bit-identically.
 
-        Two parent-mediated rounds over the request's plans (the serving
-        analogue of ``rank_program``'s hybrid phases):
+        The shared pipeline (:func:`~repro.serve.sliced.evaluate_ranges`)
+        with the workers as its substrate, in two parent-mediated rounds
+        (the serving analogue of ``rank_program``'s hybrid phases):
 
         1. **Born slices** -- workers fill disjoint flat-CSR spans of a
-           per-request scratch segment; the parent replays the serial
-           scatters (:func:`~repro.serve.sliced.reduce_born_flat`) and
-           pushes Born radii into the scratch;
-        2. **E_pol slices** -- workers return per-row far/near terms
-           against those radii; the parent concatenates ascending and
-           replays the serial fold
-           (:func:`~repro.serve.sliced.fold_pair_terms`).
+           per-request scratch segment, which the parent then reduces;
+        2. **E_pol slices** -- the parent writes the Born radii into the
+           scratch and workers return per-row far/near terms against
+           them, which the parent folds.
 
         Raises :class:`SliceError` when a slice fails or its worker dies
         (the pool is respawned to full width first -- later requests
@@ -659,60 +558,56 @@ class ProcessFleet:
         pub = self._ensure_published(entry, cfg)
         plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
         atoms = entry.calc.atom_tree()
-        far_total, near_total = born_flat_sizes(plans.born)
+        nnz_far = plans.born.far_nodes.size
+        nnz_near = plans.born.near_points.size
         # Per-request scratch: worker-filled flat Born contributions plus
         # the parent-reduced radii round 2 reads back.  Zero-filled so
         # rows no slice covers (there are none) could never read junk.
         scratch = SharedArrayBundle.create({
-            "born_far": np.zeros(max(far_total, 1)),
-            "born_near": np.zeros(max(near_total, 1)),
+            "born_far": np.zeros(max(nnz_far, 1)),
+            "born_near": np.zeros(max(nnz_near, 1)),
             "born_sorted": np.zeros(atoms.tree.npoints),
         })
-        try:
-            head = (pub.bundle.name, pub.bundle.layout, pub.plan_meta,
-                    pub.params, pub.mol_name, scratch.name, scratch.layout)
-            born_bounds = slice_bounds(plans.born.row_pair_weights(),
-                                       self.nworkers)
-            born_res = self._run_slice_phase(req_id, "born_slice", head,
-                                             born_bounds)
-            cold = any(r[6] for r in born_res)
+        head = (pub.bundle.name, pub.bundle.layout, pub.plan_meta,
+                pub.params, pub.mol_name, scratch.name, scratch.layout)
+        cold: list[bool] = []
+
+        def born_phase(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+            res = self._run_slice_phase(req_id, "born_slice", head, bounds)
+            cold.extend(r[6] for r in res)
             if checks_enabled():
-                self._check_slice_races(req_id, born_res)
-            far_view = scratch.view("born_far")
-            near_view = scratch.view("born_near")
-            partial = reduce_born_flat(plans.born, atoms,
-                                       far_view[:far_total],
-                                       near_view[:near_total])
-            del far_view, near_view
-            born_sorted = push_integrals_to_atoms(
-                atoms, partial,
-                max_radius=2.0 * entry.molecule.bounding_radius)
-            sorted_view = scratch.view("born_sorted")
-            sorted_view[:] = born_sorted
-            del sorted_view
-            epol_bounds = slice_bounds(
-                plans.epol.row_pair_weights(
-                    nbins=epol_nbins(born_sorted, cfg.eps_epol)),
-                self.nworkers)
-            epol_res = self._run_slice_phase(req_id, "epol_slice", head,
-                                             epol_bounds)
-            cold = cold or any(r[8] for r in epol_res)
-            far_terms = np.zeros(plans.epol.nrows)
-            near_terms = np.zeros(plans.epol.nrows)
-            for _, _, _, lo, hi, far_t, near_t, _, _ in epol_res:
-                far_terms[lo:hi] = far_t
-                near_terms[lo:hi] = near_t
-            pair_sum = fold_pair_terms(far_terms, near_terms)
+                # Merge every slice's declared scratch writes; any overlap
+                # between two ranks fails the request.
+                races = find_races([i for r in res if r[7] is not None
+                                    for i in intents_from_payload(r[7])])
+                if races:
+                    raise SliceError(
+                        f"request {req_id}: overlapping scratch writes "
+                        f"across slices: {races[0]}")
+            return (scratch.view("born_far")[:nnz_far],
+                    scratch.view("born_near")[:nnz_near])
+
+        def epol_phase(bounds: Bounds,
+                       born_sorted: np.ndarray) -> list[RangeTerms]:
+            scratch.view("born_sorted")[:] = born_sorted
+            res = self._run_slice_phase(req_id, "epol_slice", head, bounds)
+            cold.extend(r[8] for r in res)
+            return [r[3:7] for r in res]
+
+        try:
+            terms = evaluate_ranges(
+                plans, atoms, born_phase, epol_phase, nparts=self.nworkers,
+                max_radius=2.0 * entry.molecule.bounding_radius,
+                eps_epol=cfg.eps_epol)
             energy = epol_from_pair_sum(
-                pair_sum, epsilon_solvent=pub.params.epsilon_solvent)
+                fold_pair_terms(terms.far, terms.near),
+                epsilon_solvent=pub.params.epsilon_solvent)
         finally:
             scratch.close()
             scratch.unlink()
         return EvalResult(energy=energy, worker=-1,
-                          eval_seconds=now() - t0, cold_attach=cold,
-                          mode="sliced",
-                          nslices=max(len(born_bounds), len(epol_bounds),
-                                      1))
+                          eval_seconds=now() - t0, cold_attach=any(cold),
+                          mode="sliced", nslices=terms.nslices)
 
     def _run_slice_phase(self, req_id: int, kind: str, head: tuple,
                          bounds: list[tuple[int, int]]) -> list:
@@ -745,7 +640,6 @@ class ProcessFleet:
                 raise SliceError(res[3])
             if res[0] == ok_kind:
                 results.append(res)
-        results.sort(key=lambda r: r[3])  # ascending row ranges
         return results
 
     def _respawn_or_raise(self, err: PoolError) -> int:
@@ -758,20 +652,6 @@ class ProcessFleet:
         if replaced == 0:
             raise FleetError(str(err)) from err
         return replaced
-
-    @staticmethod
-    def _check_slice_races(req_id: int, born_res: list) -> None:
-        """REPRO_CHECKS: merge every slice's declared scratch writes and
-        fail the request if any two ranks' spans overlap."""
-        intents = []
-        for res in born_res:
-            if res[7] is not None:
-                intents.extend(intents_from_payload(res[7]))
-        races = find_races(intents)
-        if races:
-            raise SliceError(
-                f"request {req_id}: overlapping scratch writes across "
-                f"slices: {races[0]}")
 
     # -- lifecycle -------------------------------------------------------
     def shutdown(self) -> None:

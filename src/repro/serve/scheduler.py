@@ -24,9 +24,9 @@
   execution ``mode`` and slice count).
 
 Determinism: batching, grouping and routing only decide *when and where*
-a request evaluates, never *what* it evaluates -- batched requests run
-the full-plan serial kernel and sliced requests reduce through the
-order-preserving replay of :mod:`repro.serve.sliced` (see
+a request evaluates, never *what* it evaluates -- batched and sliced
+requests alike run the row-range pipeline of :mod:`repro.serve.sliced`
+and its order-preserving replay (one range or many, see
 :mod:`repro.serve.fleet`), so arrival order, batch boundaries, fleet
 width and routing mode cannot change a single bit of any served energy.
 """

@@ -1,41 +1,55 @@
-"""Intra-request row slicing: pure plan-partitioning and reduction.
+"""The row-range pipeline: every served evaluation, on any substrate.
 
-One giant molecule, every warm worker: the serving layer splits a
-request's interaction plans into contiguous weight-balanced row ranges
-(the load-balance scheme of ``rank_program`` in
-:mod:`repro.parallel.procpool.runner`), executes each range on a
-different worker, and reduces the partials here.  The reduction is the
-part that must not drift by a bit, so it replays the *exact* serial
-operations instead of summing scalar partials:
+The paper's Fig. 4 program is one two-phase pipeline whose ranks differ
+only in which rows they own.  :func:`evaluate_ranges` is that pipeline,
+and batched, sliced and donated requests all run it: cut the Born rows
+(:func:`slice_bounds`), let the caller's *substrate* execute the ranges,
+replay the serial scatter (:func:`reduce_born_flat`) and push, cut the
+E_pol rows by their binned weight (:func:`epol_nbins`), let the
+substrate return per-row terms, and hand them back for the serial fold
+(:func:`fold_pair_terms`).  A substrate is a pair of phase callables and
+decides only *where* ranges run: in this thread (:class:`LocalRanges`),
+over process workers through a shared scratch segment, or on donee
+shards.
 
-* **Born**: workers write each flat CSR contribution value -- once, by
-  position -- into disjoint slices of two shared arrays
-  (:func:`repro.plan.executor.execute_born_plan` with ``flat_out``);
-  :func:`reduce_born_flat` then performs the single full-range
-  ``np.add.at`` scatters, i.e. the same index arrays in the same
-  row-major element order as a serial full-plan execution.
-* **E_pol**: workers return per-row far/near terms
-  (:func:`repro.plan.executor.epol_row_terms`); the reducer concatenates
-  them in ascending row order and :func:`fold_pair_terms` replays the
-  serial interleaved left fold (far before near within each row).
-
-Accumulation order is therefore identical to
-:func:`repro.serve.fleet.evaluate_pipeline` and to a cold
-``driver.run()`` regardless of slice count -- worker width picks only
-*who computes which rows*, never the order anything is added.  Every
-function in this module is pure (no clocks, no processes, no shared
-state); the fleets own transport and timing.
+The reductions replay the *exact* serial operations instead of summing
+scalar partials.  Born values are written once, by position, into the
+spans of :func:`repro.plan.executor.born_spans`, and the one full-range
+``np.add.at`` pair scatters them in the serial row-major order; E_pol
+terms land at their rows and are folded ascending, far before near.  So
+accumulation order is identical to a cold ``driver.run()`` whatever the
+range count, order or placement.  Nothing here reads a clock, starts a
+process or keeps shared state; fleets and router own transport and
+timing.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from ..analysis_static.flow.contracts import array_contract
 from ..core.binning import build_binning
-from ..core.born import AtomTreeData, BornPartial
+from ..core.born import (AtomTreeData, BornPartial, QuadTreeData,
+                         push_integrals_to_atoms)
+from ..core.energy import EnergyContext
 from ..octree.partition import segment_by_weight
+from ..plan import PlanSet
+from ..plan.executor import born_flat_values, born_spans, epol_row_terms
 from ..plan.schema import InteractionPlan
+from .registry import RegistryEntry
+
+#: Contiguous ``[lo, hi)`` plan row ranges, ascending.
+Bounds = list[tuple[int, int]]
+#: One executed E_pol range: ``(lo, hi, far_terms, near_terms)``.
+RangeTerms = tuple[int, int, np.ndarray, np.ndarray]
+#: Runs Born rows ``bounds`` and returns the full flat ``(far, near)``
+#: value arrays; runs E_pol rows against the Born radii and returns
+#: every range's terms, in any order.
+BornPhase = Callable[[Bounds], tuple[np.ndarray, np.ndarray]]
+EpolPhase = Callable[[Bounds, np.ndarray], Iterable[RangeTerms]]
 
 
 def slice_bounds(weights: np.ndarray, nslices: int
@@ -47,40 +61,26 @@ def slice_bounds(weights: np.ndarray, nslices: int
     return [(int(lo), int(hi)) for lo, hi in bounds if hi > lo]
 
 
-@array_contract(returns="dims: nnz_far, nnz_near")
-def born_flat_sizes(plan: InteractionPlan) -> tuple[int, int]:
-    """Total flat CSR entry counts ``(far, near)`` of a Born plan -- the
-    scratch-array sizes one sliced request needs."""
-    n = plan.nrows
-    return (int(plan.far_start[n]), int(plan.near_point_start[n]))
-
-
 @array_contract(far_flat="(nnz_far,) float64 view-ok",
                 near_flat="(nnz_near,) float64 view-ok")
 def reduce_born_flat(plan: InteractionPlan, atoms: AtomTreeData,
                      far_flat: np.ndarray, near_flat: np.ndarray
                      ) -> BornPartial:
-    """The serial Born scatter, replayed over worker-filled flat arrays.
-
-    ``far_flat``/``near_flat`` must carry every flat contribution value
-    of the full plan (each slot written by exactly one slice).  The two
-    ``np.add.at`` calls below are the ones a full-range
-    :func:`~repro.plan.executor.execute_born_plan` would have issued --
-    same index arrays, same row-major element order -- so the returned
-    partial is bit-identical to the serial execution however the rows
-    were partitioned.
-    """
-    far_total, near_total = born_flat_sizes(plan)
-    if far_flat.shape != (far_total,) or near_flat.shape != (near_total,):
+    """The serial Born scatter over range-filled flat arrays (every
+    value of the full plan, each slot written by exactly one range): the
+    two ``np.add.at`` calls a full-range
+    :func:`~repro.plan.executor.execute_born_plan` issues, so the partial
+    is bit-identical however the rows were partitioned."""
+    if (far_flat.shape != plan.far_nodes.shape
+            or near_flat.shape != plan.near_points.shape):
         raise ValueError(
-            f"flat arrays must have shapes ({far_total},)/({near_total},), "
-            f"got {far_flat.shape}/{near_flat.shape}")
+            f"flat arrays must have shapes {plan.far_nodes.shape}/"
+            f"{plan.near_points.shape}, got {far_flat.shape}/"
+            f"{near_flat.shape}")
     partial = BornPartial.zeros(atoms)
     partial.counters = plan.counters(0, plan.nrows)
-    if far_total:
-        np.add.at(partial.s_node, plan.far_nodes[:far_total], far_flat)
-    if near_total:
-        np.add.at(partial.s_atom, plan.near_points[:near_total], near_flat)
+    np.add.at(partial.s_node, plan.far_nodes, far_flat)
+    np.add.at(partial.s_atom, plan.near_points, near_flat)
     return partial
 
 
@@ -107,3 +107,93 @@ def fold_pair_terms(far_terms: np.ndarray,
         total += far_terms[i]
         total += near_terms[i]
     return float(total)
+
+
+class PairTerms(NamedTuple):
+    """Per-row far/near E_pol terms of the whole plan, in row order, and
+    the ranges each phase executed."""
+
+    far: np.ndarray
+    near: np.ndarray
+    born_ranges: int
+    epol_ranges: int
+
+    @property
+    def nslices(self) -> int:
+        """The widest phase's range count (at least 1)."""
+        return max(self.born_ranges, self.epol_ranges, 1)
+
+
+def evaluate_ranges(plans: PlanSet, atoms: AtomTreeData,
+                    born_phase: BornPhase, epol_phase: EpolPhase, *,
+                    nparts: int, max_radius: float,
+                    eps_epol: float) -> PairTerms:
+    """One request's two phases over ``nparts`` row ranges each, run
+    wherever the substrate's phases put them; the reductions run here,
+    on the parent's ``plans``/``atoms``.  The caller folds the returned
+    terms with :func:`fold_pair_terms`."""
+    def cut(plan: InteractionPlan, nbins: int = 0) -> Bounds:
+        return slice_bounds(plan.row_pair_weights(nbins=nbins), nparts)
+
+    born_bounds = cut(plans.born)
+    far_flat, near_flat = born_phase(born_bounds)
+    partial = reduce_born_flat(plans.born, atoms, far_flat, near_flat)
+    # The flat arrays may be views of a shared segment the caller closes
+    # once this returns (or raises); hold no reference past the reduce.
+    del far_flat, near_flat
+    born_sorted = push_integrals_to_atoms(atoms, partial,
+                                          max_radius=max_radius)
+    epol_bounds = cut(plans.epol, epol_nbins(born_sorted, eps_epol))
+    far_terms = np.zeros(plans.epol.nrows)
+    near_terms = np.zeros(plans.epol.nrows)
+    for lo, hi, far_t, near_t in epol_phase(epol_bounds, born_sorted):
+        far_terms[lo:hi] = far_t
+        near_terms[lo:hi] = near_t
+    return PairTerms(far_terms, near_terms, len(born_bounds),
+                     len(epol_bounds))
+
+
+@dataclass(frozen=True)
+class LocalRanges:
+    """The in-process range executor: runs row ranges of one molecule's
+    plans in the calling thread, against its own trees -- for batched
+    requests, the inline fleet, process workers' slice tasks and cluster
+    donees alike."""
+
+    plans: PlanSet
+    atoms: AtomTreeData
+    quad: QuadTreeData
+    eps_epol: float
+
+    @classmethod
+    def for_entry(cls, entry: RegistryEntry, eps_born: float,
+                  eps_epol: float) -> "LocalRanges":
+        """The substrate of a warm registry entry at one epsilon config."""
+        return cls(entry.plans_for(eps_born, eps_epol),
+                   entry.calc.atom_tree(), entry.calc.quad_tree(), eps_epol)
+
+    @array_contract(far="(?,) float64 view-ok", near="(?,) float64 view-ok")
+    def born_phase(self, bounds: Bounds, far: np.ndarray | None = None,
+                   near: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Write the flat Born values of ``bounds`` at their plan
+        positions in ``far``/``near`` (fresh full-plan arrays when not
+        given) and return both."""
+        plan = self.plans.born
+        if far is None or near is None:
+            far = np.zeros(plan.far_nodes.shape)
+            near = np.zeros(plan.near_points.shape)
+        for lo, hi in bounds:
+            far_span, near_span = born_spans(plan, lo, hi)
+            born_flat_values(plan, self.atoms, self.quad, far[far_span],
+                             near[near_span], row_range=(lo, hi))
+        return far, near
+
+    @array_contract(born_sorted="(npoints,) float64 view-ok")
+    def epol_phase(self, bounds: Bounds,
+                   born_sorted: np.ndarray) -> list[RangeTerms]:
+        """Per-row E_pol terms of each range in ``bounds``."""
+        ctx = EnergyContext.build(self.atoms, born_sorted, self.eps_epol)
+        return [(lo, hi) + epol_row_terms(self.plans.epol, ctx,
+                                          row_range=(lo, hi))
+                for lo, hi in bounds]

@@ -1,14 +1,14 @@
-"""RV605 seeded mutation: an uncontracted donation boundary crossing.
+"""RV605 seeded mutation: an uncontracted row-range boundary crossing.
 
-``donation_bounds`` is a boundary callee (arrays cross the cluster
-donation seam through it); defining it without an ``@array_contract``
-stamp and calling it must be reported.
+``reduce_born_flat`` is a boundary callee (range-filled Born arrays from
+workers or donees land in it); defining it without an
+``@array_contract`` stamp and calling it must be reported.
 """
 
 
-def donation_bounds(weights, keys, nparts):
-    return [(0, len(weights))]
+def reduce_born_flat(plan, atoms, far_flat, near_flat):
+    return far_flat
 
 
-def route(weights):
-    return donation_bounds(weights, None, 2)  # uncontracted (RV605)
+def reduce(plan, atoms, far_flat, near_flat):
+    return reduce_born_flat(plan, atoms, far_flat, near_flat)  # (RV605)

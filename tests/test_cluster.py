@@ -191,6 +191,22 @@ class TestDonation:
                      "donate_publish"):
             assert kinds.get(kind, 0) > 0, kind
 
+    def test_donation_registers_only_donees_handed_a_range(self):
+        """A one-row molecule yields one range per phase, so both run on
+        one donee: only the owner and that donee hold a copy."""
+        molecule = protein_blob(12, seed=5)
+        cfg = ClusterConfig(nodes=8, donation_saturation_depth=0,
+                            serve=_quick_serve())
+        with ClusterRouter(cfg) as router:
+            key = router.register(molecule)
+            future = router.submit(key)
+            energy = future.result(timeout=120.0)
+            locations = router.locations(key)
+        assert future.detail["mode"] == MODE_DONATED
+        assert future.detail["nslices"] == 2
+        assert energy == PolarizationEnergyCalculator(molecule).run().energy
+        assert len(locations) == 2
+
     def test_donation_mixes_with_routing(self, molecules, cold):
         """Donated and forwarded requests interleave; every energy is
         still bit-identical and nothing is lost."""

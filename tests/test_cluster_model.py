@@ -182,7 +182,7 @@ class TestSeededMutations:
     def test_handrolled_donation_cuts_double_execute(self, tmp_path):
         mutated = _mutate(
             tmp_path, SRC / "cluster" / "router.py",
-            "donation_bounds(", "handrolled_cuts(", count=2)
+            "evaluate_ranges(", "handrolled_cuts(")
         found = _findings(mutated, ["RV405", "RV406"])
         assert any("no longer cuts row ranges with" in m
                    for m in found.get("RV405", []))

@@ -283,40 +283,47 @@ class TestSeededMutations:
                    for m in found.get("RV501", []))
 
     def test_span_off_by_one_refutes_the_span_lemma(self, tmp_path):
-        mutated = _mutate(
-            tmp_path, SRC / "serve" / "fleet.py",
-            "f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])",
-            "f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi]) + 1")
-        found = _findings(mutated, ["RV502"])
-        assert any("span:worker-born-slice" in m
-                   and "not a plain `int(A[row])` read" in m
-                   for m in found.get("RV502", []))
+        # Off by one at the endpoint read, or in the span built from it.
+        for old, new, why in (
+                ("f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])",
+                 "f0, f1 = int(plan.far_start[lo]), "
+                 "int(plan.far_start[hi]) + 1",
+                 "not a plain `int(A[row])` read"),
+                ("return slice(f0, f1), slice(n0, n1)",
+                 "return slice(f0, f1 + 1), slice(n0, n1)",
+                 "arithmetic on a span endpoint")):
+            mutated = _mutate(tmp_path, SRC / "plan" / "executor.py", old,
+                              new)
+            found = _findings(mutated, ["RV502"])
+            assert any("span:born-spans" in m and why in m
+                       for m in found.get("RV502", [])), new
 
     def test_widened_donation_filter_refutes_the_cover_lemma(self, tmp_path):
-        # `hi >= lo` keeps empty ranges: still a cover, but donees get
-        # zero-row assignments the router protocol never acknowledges.
+        # Donation cuts with slice_bounds, like the fleets.  `hi >= lo`
+        # keeps empty ranges: still a cover, but workers and donees get
+        # zero-row assignments the protocols never acknowledge.
         mutated = _mutate(
-            tmp_path, SRC / "cluster" / "donate.py",
+            tmp_path, SRC / "serve" / "sliced.py",
             "if hi > lo", "if hi >= lo")
-        found = _findings(mutated, ["RV504"])
-        assert any("donation:bounds-filter" in m
-                   and "empty-range filter" in m
-                   for m in found.get("RV504", []))
+        found = _findings(mutated, ["RV501"])
+        assert any("chain:slice_bounds" in m
+                   and "empty-segment filter" in m
+                   for m in found.get("RV501", []))
 
     def test_unsnapped_key_cut_refutes_the_cover_lemma(self, tmp_path):
         mutated = _mutate(
             tmp_path, SRC / "octree" / "partition.py",
             "bounds[-1] = (bounds[-1][0], n)", "pass")
         found = _findings(mutated, ["RV504"])
-        assert any("donation:key-range-chain" in m
+        assert any("key-range:chain" in m
                    and "final cut is not re-forced to n" in m
                    for m in found.get("RV504", []))
 
     def test_unmutated_copies_stay_clean(self, tmp_path):
         # The tmp-copy harness itself must not manufacture findings.
         for rel in ("serve/scheduler.py", "serve/client.py",
-                    "serve/fleet.py", "octree/partition.py",
-                    "cluster/donate.py",
+                    "serve/fleet.py", "serve/sliced.py",
+                    "octree/partition.py", "plan/executor.py",
                     "parallel/procpool/pool.py"):
             shutil.copy(SRC / rel, tmp_path / Path(rel).name)
         result = run_verify(
@@ -332,7 +339,7 @@ class TestSeededMutations:
 class TestStaticDynamicAgreement:
     def test_all_disjointness_lemmas_hold_on_shipped_sources(self):
         steps = prove(Program.load([SRC]))
-        assert len(steps) == 8
+        assert len(steps) == 6
         assert all(s.ok for s in steps), [
             (s.name, s.detail) for s in steps if not s.ok]
 

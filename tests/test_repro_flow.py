@@ -154,7 +154,7 @@ class TestBaselineRatchet:
             "version": 1,
             "fingerprints": [
                 "RV602|gone/kernel.py|fold|float32 drift long fixed"]}))
-        proc = run_cli(str(SRC / "repro" / "cluster" / "donate.py"),
+        proc = run_cli(str(SRC / "repro" / "serve" / "sliced.py"),
                        "--checks", "flow", "--baseline", str(baseline))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "stale" in proc.stderr
@@ -227,11 +227,11 @@ class TestContractGrammar:
         assert promote("int32", "int64") == "int64"
 
     def test_runtime_stamp_is_importable_truth(self):
-        from repro.cluster.donate import donation_bounds
-        specs = contracts_of(donation_bounds)
+        from repro.serve.sliced import fold_pair_terms
+        specs = contracts_of(fold_pair_terms)
         assert specs is not None
-        assert specs["weights"].dtype == "float64"
-        assert specs["keys"].dtype == "uint64"
+        assert specs["far_terms"].dtype == "float64"
+        assert specs["near_terms"].shape == ("nrows",)
         # The stamped function still behaves.
-        got = donation_bounds(np.ones(6), None, 2)
-        assert got == [(0, 3), (3, 6)]
+        got = fold_pair_terms(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+        assert got == 3.75

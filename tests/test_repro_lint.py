@@ -181,7 +181,7 @@ class TestScoping:
         wall clock; every other cluster module imports ``cluster_now``."""
         src = "import time\nt = time.perf_counter()\n"
         assert lint_source(src, "src/repro/cluster/metrics.py") == []
-        for module in ("ring.py", "router.py", "shard.py", "donate.py"):
+        for module in ("ring.py", "router.py", "shard.py", "workload.py"):
             findings = lint_source(src, f"src/repro/cluster/{module}")
             assert [f.rule for f in findings] == ["REP003"], module
 

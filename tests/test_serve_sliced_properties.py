@@ -10,20 +10,24 @@ Three invariants the sliced serving path leans on:
   exactly -- every row in exactly one contiguous range, for any
   non-negative weight profile and any worker count;
 * the served energy is invariant to how many slices the plan is cut
-  into (the parent replays the serial reduction, so routing and fleet
-  width can only change *where* rows evaluate, never the bits).
+  into, and to the order the ranges execute in (the parent replays the
+  serial reduction, so routing, fleet width and worker timing can only
+  change *where* and *when* rows evaluate, never the bits).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import PolarizationEnergyCalculator
+from repro.core.energy import epol_from_pair_sum
 from repro.molecule.generators import protein_blob
-from repro.serve import (EpsConfig, InlineFleet, MODE_BATCHED, MODE_SLICED,
-                         MoleculeRegistry, decide_mode, slice_bounds)
+from repro.serve import (EpsConfig, InlineFleet, LocalRanges, MODE_BATCHED,
+                         MODE_SLICED, MoleculeRegistry, decide_mode,
+                         evaluate_ranges, fold_pair_terms, slice_bounds)
 
 _weights = st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=0, max_size=60)
@@ -126,3 +130,38 @@ class TestEnergyInvariance:
                                               state["cfg"])
         assert res.error is None
         assert res.energy == state["reference"]  # exact float equality
+
+    @pytest.mark.parametrize("nparts", range(1, 7))
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_energy_invariant_to_range_execution_order(self, nparts, data):
+        """Process workers finish in any order: a substrate that runs each
+        phase's ranges in a drawn order covers every row once and gives
+        the cold energy bit for bit."""
+        state = _entry()
+        entry, cfg = state["entry"], state["cfg"]
+        local = LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol)
+        executed: dict[str, list] = {}
+
+        def run_in_drawn_order(phase, bounds):
+            order = data.draw(st.permutations(range(len(bounds))),
+                              label=f"{phase} order")
+            executed[phase] = [bounds[i] for i in order]
+            return executed[phase]
+
+        terms = evaluate_ranges(
+            local.plans, local.atoms,
+            lambda b: local.born_phase(run_in_drawn_order("born", b)),
+            lambda b, radii: local.epol_phase(
+                run_in_drawn_order("epol", b), radii),
+            nparts=nparts, max_radius=2.0 * entry.molecule.bounding_radius,
+            eps_epol=cfg.eps_epol)
+        for phase, plan in (("born", local.plans.born),
+                            ("epol", local.plans.epol)):
+            rows = sorted(r for lo, hi in executed[phase]
+                          for r in range(lo, hi))
+            assert rows == list(range(plan.nrows)), phase
+        energy = epol_from_pair_sum(
+            fold_pair_terms(terms.far, terms.near),
+            epsilon_solvent=entry.params.epsilon_solvent)
+        assert energy == state["reference"]  # exact float equality
