@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro import PolarizationEnergyCalculator, protein_blob
-from repro.geometry import rotation_matrix
+from repro.geometry import CellGrid, rotation_matrix
 from repro.molecule.molecule import Molecule
 from repro.octree.transform import transformed_octree
 from repro.surface.sas import SurfaceQuadrature, build_surface
@@ -33,15 +33,17 @@ from repro.surface.sas import SurfaceQuadrature, build_surface
 
 def _unburied(surface: SurfaceQuadrature, other: Molecule) -> np.ndarray:
     """Mask of surface points not swallowed by the partner body."""
-    from repro.geometry import CellGrid
-    rmax = float(other.radii.max())
-    grid = CellGrid(other.positions, cell_size=2.0 * rmax)
+    pos, radii = other.positions, other.radii
+    rmax = float(radii.max())
+
+    def inside(q: np.ndarray, j: np.ndarray) -> np.ndarray:
+        d2 = np.sum((pos[j] - surface.points[q]) ** 2, axis=1)
+        return d2 < radii[j] ** 2
+
+    q, _ = CellGrid(pos, cell_size=2.0 * rmax).pairs(
+        rmax, inside, queries=surface.points)
     keep = np.ones(surface.npoints, dtype=bool)
-    for i, p in enumerate(surface.points):
-        cand = grid.candidates(p, rmax)
-        if len(cand):
-            d2 = np.sum((other.positions[cand] - p) ** 2, axis=1)
-            keep[i] = not np.any(d2 < other.radii[cand] ** 2)
+    keep[q] = False
     return keep
 
 

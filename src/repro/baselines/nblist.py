@@ -71,23 +71,20 @@ def build_nblist(molecule: Molecule, cutoff: float, *,
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     pos = molecule.positions
-    n = len(molecule)
-    grid = CellGrid(pos, cell_size=cutoff)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    chunks: list[np.ndarray] = []
     c2 = cutoff * cutoff
-    for i in range(n):
-        cand = grid.candidates(pos[i], cutoff)
-        cand = cand[cand > i]
-        if len(cand):
-            d2 = np.sum((pos[cand] - pos[i]) ** 2, axis=1)
-            cand = cand[d2 < c2]
-        chunks.append(np.sort(cand))
-        offsets[i + 1] = offsets[i] + len(cand)
-        if counters is not None:
-            counters.exact_pairs += len(cand)
-    neighbors = (np.concatenate(chunks) if chunks
-                 else np.empty(0, dtype=np.int64))
+
+    def within(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # Each unordered pair once, under the lower atom id.
+        ok = i < j
+        ok[ok] = np.sum((pos[j[ok]] - pos[i[ok]]) ** 2, axis=1) < c2
+        return ok
+
+    # Sorted by atom, then neighbour id: already the CSR layout.
+    i, neighbors = CellGrid(pos, cell_size=cutoff).pairs(cutoff, within)
+    offsets = np.zeros(len(molecule) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(i, minlength=len(molecule)), out=offsets[1:])
+    if counters is not None:
+        counters.exact_pairs += len(neighbors)
     return NeighborList(offsets=offsets, neighbors=neighbors, cutoff=cutoff)
 
 

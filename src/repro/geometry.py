@@ -1,24 +1,45 @@
 """Shared geometric utilities: uniform-cell neighbour grids and rotations.
 
-The cell grid is the workhorse behind both the surface burial test and the
-baseline nonbonded-list construction: O(N) build, O(1) expected candidates
-per query at fixed density, fully vectorised queries.
+The cell grid is the workhorse behind the surface burial test, the
+baseline nonbonded-list construction and the docking example's interface
+test: O(N) build, O(1) expected candidates per query at fixed density,
+fully vectorised queries.  Every query walks the same cell table -- the
+occupied cells in ascending order with CSR offsets into a cell-sorted
+point order -- once per neighbour-cell offset, never once per point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 
-class CellGrid:
-    """A uniform grid over 3-D points supporting radius queries.
+def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate the ranges ``[lo[q], hi[q])``: returns the owning
+    range index and the position of every element, range by range."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(int(counts.sum())) + (lo - starts)[owner]
 
-    Points are binned into cubic cells of edge ``cell_size``.  A radius
-    query for radius ``r <= cell_size`` needs only the 27 neighbouring
-    cells; larger radii scan proportionally more cells.
+
+class CellGrid:
+    """A uniform grid over 3-D points supporting radius and pair queries.
+
+    Points are binned into cubic cells of edge ``cell_size``.  A query of
+    radius ``r <= cell_size`` needs only the 27 neighbouring cells;
+    larger radii scan proportionally more cells.  The cell table is built
+    once: points sorted by cell, the occupied cell ids in ascending
+    order, and CSR offsets into the sorted points.
+
+    :meth:`pairs` answers a query for every point at once, one flat pass
+    per neighbour-cell offset: one vectorised ``searchsorted`` gives each
+    query its neighbour cell's range, the ranges expand to ``(q, j)``
+    candidate pairs, and that offset's chunk is filtered before the next
+    offset is expanded.  Transient memory is therefore one offset's
+    candidates (about 1/27 of all of them), not the whole candidate set.
 
     Parameters
     ----------
@@ -38,24 +59,44 @@ class CellGrid:
         self.points = points
         self.cell_size = float(cell_size)
         self.origin = points.min(axis=0) if len(points) else np.zeros(3)
-        idx3 = np.floor((points - self.origin) / self.cell_size).astype(np.int64)
+        idx3 = self._cell_of(points)
         self.dims = idx3.max(axis=0) + 1 if len(points) else np.ones(3, np.int64)
-        self._flat = (idx3[:, 0] * self.dims[1] + idx3[:, 1]) * self.dims[2] + idx3[:, 2]
-        order = np.argsort(self._flat, kind="stable")
-        self._sorted_points_idx = order
-        self._sorted_flat = self._flat[order]
-        # CSR-style offsets into the sorted point index array, one slot per
-        # occupied cell, found by searchsorted on demand.
+        flat = self._flat_id(idx3)
+        self._order = np.argsort(flat, kind="stable")
+        self._cell_ids, starts = np.unique(flat[self._order],
+                                           return_index=True)
+        self._cell_ptr = np.append(starts, len(points))
 
-    def _cell_points(self, cx: int, cy: int, cz: int) -> np.ndarray:
-        """Indices of points in cell (cx, cy, cz)."""
-        if not (0 <= cx < self.dims[0] and 0 <= cy < self.dims[1]
-                and 0 <= cz < self.dims[2]):
-            return np.empty(0, dtype=np.int64)
-        flat = (cx * self.dims[1] + cy) * self.dims[2] + cz
-        lo = np.searchsorted(self._sorted_flat, flat, side="left")
-        hi = np.searchsorted(self._sorted_flat, flat, side="right")
-        return self._sorted_points_idx[lo:hi]
+    def _cell_of(self, pts: np.ndarray) -> np.ndarray:
+        """Integer cell coordinates ``(M, 3)`` of points ``(M, 3)``."""
+        return np.floor((pts - self.origin) / self.cell_size).astype(np.int64)
+
+    def _flat_id(self, cells: np.ndarray) -> np.ndarray:
+        return (cells[:, 0] * self.dims[1] + cells[:, 1]) * self.dims[2] + cells[:, 2]
+
+    def _offsets(self, radius: float) -> np.ndarray:
+        """Neighbour-cell offsets ``(K, 3)`` a query of ``radius`` scans,
+        x-major."""
+        span = int(math.ceil(radius / self.cell_size))
+        r = np.arange(-span, span + 1)
+        return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def _ranges(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ranges ``[lo, hi)`` into the cell-sorted point order of the
+        points in each of ``cells`` ``(M, 3)``; empty for unoccupied or
+        out-of-grid cells."""
+        lo = np.zeros(len(cells), dtype=np.int64)
+        if len(self._cell_ids) == 0:
+            return lo, lo
+        flat = self._flat_id(cells)
+        slot = np.minimum(np.searchsorted(self._cell_ids, flat),
+                          len(self._cell_ids) - 1)
+        hit = (np.all((cells >= 0) & (cells < self.dims), axis=1)
+               & (self._cell_ids[slot] == flat))
+        lo[hit] = self._cell_ptr[slot[hit]]
+        hi = lo.copy()
+        hi[hit] = self._cell_ptr[slot[hit] + 1]
+        return lo, hi
 
     def candidates(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Indices of points in all cells overlapping the query ball.
@@ -64,19 +105,10 @@ class CellGrid:
         actual distance (kept separate so they can fold the distance test
         into their own vectorised kernel).
         """
-        c = np.asarray(center, dtype=np.float64)
-        span = int(math.ceil(radius / self.cell_size))
-        base = np.floor((c - self.origin) / self.cell_size).astype(np.int64)
-        chunks = []
-        for dx in range(-span, span + 1):
-            for dy in range(-span, span + 1):
-                for dz in range(-span, span + 1):
-                    chunk = self._cell_points(base[0] + dx, base[1] + dy, base[2] + dz)
-                    if len(chunk):
-                        chunks.append(chunk)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        c = np.asarray(center, dtype=np.float64).reshape(1, 3)
+        cells = self._cell_of(c) + self._offsets(radius)
+        _, at = _expand(*self._ranges(cells))
+        return self._order[at]
 
     def query_radius(self, center: Sequence[float], radius: float) -> np.ndarray:
         """Indices of points strictly within ``radius`` of ``center``."""
@@ -86,6 +118,37 @@ class CellGrid:
         c = np.asarray(center, dtype=np.float64)
         d2 = np.sum((self.points[cand] - c) ** 2, axis=1)
         return cand[d2 < radius * radius]
+
+    def pairs(self, radius: float,
+              keep: Callable[[np.ndarray, np.ndarray], np.ndarray], *,
+              queries: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate pair ``(q, j)`` that ``keep`` accepts, sorted
+        by ``q`` then ``j``.
+
+        Candidates are the grid points ``j`` in cells overlapping the ball
+        of ``radius`` around query ``q``; ``keep(q, j)`` returns the mask
+        of one chunk's candidates to keep.  ``queries`` (``(M, 3)``)
+        defaults to the grid's own points, and then a point is never
+        paired with itself.
+        """
+        self_pairs = queries is None
+        q_pts = self.points if queries is None else np.ascontiguousarray(
+            queries, dtype=np.float64).reshape(-1, 3)
+        base = self._cell_of(q_pts)
+        npts = max(len(self.points), 1)
+        keys: list[np.ndarray] = []
+        for offset in self._offsets(radius):
+            q, at = _expand(*self._ranges(base + offset))
+            j = self._order[at]
+            mask = keep(q, j)
+            if self_pairs and not offset.any():
+                mask &= q != j
+            # One int64 sort key per kept pair: q-major, then j.
+            keys.append(q[mask] * npts + j[mask])
+        key = np.concatenate(keys)
+        key.sort()
+        return np.divmod(key, npts)
 
 
 def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:

@@ -114,13 +114,6 @@ class PersistentWorkerPool:
             raise PoolError("pool is shut down")
         self.tasks.put(task)
 
-    def broadcast(self, task: Any) -> None:
-        """Enqueue one copy of ``task`` per worker (control messages --
-        e.g. cache-forget notices -- that every worker must see; relies
-        on workers pausing between tasks, so only best-effort ordering)."""
-        for _ in range(self.nworkers):
-            self.submit(task)
-
     # -- collection ----------------------------------------------------
     @protocol_event("pool", "next_result")
     def next_result(self, *,

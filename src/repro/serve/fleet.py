@@ -295,9 +295,17 @@ class _WorkerState:
 
 def _cached_state(cache: dict[str, _WorkerState], name: str, layout: Any,
                   plan_meta: dict, params: ApproximationParams,
-                  mol_name: str) -> tuple[_WorkerState, bool]:
+                  mol_name: str, live: frozenset[str]
+                  ) -> tuple[_WorkerState, bool]:
     """The worker's prepared state for publication ``name`` (attach and
-    cache on first sight, LRU-bounded); returns ``(state, cold)``."""
+    cache on first sight, LRU-bounded); returns ``(state, cold)``.
+
+    ``live`` names every publication the fleet still serves, as of the
+    task: cached state for any other one (an evicted molecule) is
+    released first, so its trees and mapped pages go now rather than
+    when the LRU bound pushes them out."""
+    for stale in [k for k in cache if k not in live]:
+        cache.pop(stale).release()
     state = cache.get(name)
     cold = state is None
     if cold:
@@ -342,8 +350,10 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
     Module-level so the spawn start method can import it by name; the
     loop exits on the pool's shutdown sentinel.  Task kinds: ``"run"``
     (whole-plan evaluation), ``"born_slice"``/``"epol_slice"`` (one row
-    range of a sliced request), ``"forget"`` (drop cached publication)
-    and :data:`CRASH_NEXT` (test-only fault injection).
+    range of a sliced request) and :data:`CRASH_NEXT` (test-only fault
+    injection).  Evaluation tasks carry the fleet's live publication
+    names; the worker drops cached state for any other publication
+    before it runs the task (see :func:`_cached_state`).
 
     A worker runs at most one slice of each round: it hands a second one
     back to the queue for a peer.  A round has at most ``P`` slices, so
@@ -367,17 +377,12 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
             cache.clear()
             break
         kind = task[0]
-        if kind == "forget":
-            state = cache.pop(task[1], None)
-            if state is not None:
-                state.release()
-            continue
         if kind == CRASH_NEXT:
             crash_armed = True
             continue
         if kind in ("born_slice", "epol_slice"):
             # (request, phase, scratch segment) names one round.
-            round_key = (task[1], kind, task[7])
+            round_key = (task[1], kind, task[8])
             if round_key == last_round:
                 tasks.put(task)
                 # Let an idle peer take it before this worker polls again.
@@ -391,18 +396,19 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
             os._exit(3)
         try:
             if kind == "run":
-                _, req_id, name, layout, plan_meta, params, mol_name = task
+                (_, req_id, name, layout, plan_meta, params, mol_name,
+                 live) = task
                 state, cold = _cached_state(cache, name, layout, plan_meta,
-                                            params, mol_name)
+                                            params, mol_name, live)
                 t0 = now()
                 energy, _ = _evaluate_local(state.molecule, state.ranges,
                                             state.params, nparts=1)
                 results.put(("ok", req_id, rank, energy, now() - t0, cold))
             elif kind in ("born_slice", "epol_slice"):
                 (_, req_id, name, layout, plan_meta, params, mol_name,
-                 scratch_name, scratch_layout, lo, hi) = task
+                 live, scratch_name, scratch_layout, lo, hi) = task
                 state, cold = _cached_state(cache, name, layout, plan_meta,
-                                            params, mol_name)
+                                            params, mol_name, live)
                 t0 = now()
                 scratch = SharedArrayBundle.attach(scratch_name,
                                                    scratch_layout, pin=False)
@@ -475,18 +481,21 @@ class ProcessFleet:
             self.publications += 1
         return pub
 
+    def _live_names(self) -> frozenset[str]:
+        """Segment names of every publication the fleet still serves --
+        what each evaluation task carries to its worker."""
+        with self._lock:
+            return frozenset(pub.bundle.name
+                             for pub in self._published.values())
+
     def forget(self, entry: RegistryEntry) -> None:
-        """Registry-eviction hook: unpublish the entry's segments and tell
-        every worker to drop its cached state for them."""
+        """Registry-eviction hook: unpublish the entry's segments.  Each
+        worker releases its cached state for them at its next task, whose
+        live publication names no longer include them."""
         with self._lock:
             victims = [k for k in self._published if k[0] == entry.key]
             pubs = [self._published.pop(k) for k in victims]
         for pub in pubs:
-            if not self._pool.closed:
-                try:
-                    self._pool.broadcast(("forget", pub.bundle.name))
-                except PoolError:
-                    pass
             pub.bundle.close()
             pub.bundle.unlink()
 
@@ -500,7 +509,8 @@ class ProcessFleet:
             try:
                 self._pool.submit(("run", req_id, pub.bundle.name,
                                    pub.bundle.layout, pub.plan_meta,
-                                   pub.params, pub.mol_name))
+                                   pub.params, pub.mol_name,
+                                   self._live_names()))
             except PoolError as err:
                 raise FleetError(str(err)) from err
         # Collection is id-based, not count-based: stale results from an
@@ -569,7 +579,8 @@ class ProcessFleet:
             "born_sorted": np.zeros(atoms.tree.npoints),
         })
         head = (pub.bundle.name, pub.bundle.layout, pub.plan_meta,
-                pub.params, pub.mol_name, scratch.name, scratch.layout)
+                pub.params, pub.mol_name, self._live_names(), scratch.name,
+                scratch.layout)
         cold: list[bool] = []
 
         def born_phase(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:

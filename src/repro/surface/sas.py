@@ -25,6 +25,10 @@ from ..molecule.molecule import Molecule
 from .quadrature import mesh_quadrature
 from .sphere import fibonacci_sphere, icosphere
 
+#: (neighbour pair x sphere point) tests per block of the burial test:
+#: bounds its ``(pairs, points per atom, 3)`` temporaries.
+_BURIAL_BLOCK = 8192
+
 
 @dataclass
 class SurfaceQuadrature:
@@ -164,51 +168,43 @@ def build_surface(molecule: Molecule, *,
     if n == 0:
         raise ValueError("cannot build a surface for an empty molecule")
     unit_pts, unit_normals, unit_weights = _unit_sphere_points(points_per_atom, method)
-    k = unit_pts.shape[0]
     radii = molecule.radii + probe_radius
-    rmax = float(radii.max())
-    grid = CellGrid(molecule.positions, cell_size=max(2.0 * rmax, 1e-6))
-
-    kept_points: list[np.ndarray] = []
-    kept_normals: list[np.ndarray] = []
-    kept_weights: list[np.ndarray] = []
-    kept_owner: list[np.ndarray] = []
-    for i in range(n):
-        center = molecule.positions[i]
-        ri = radii[i]
-        pts = center + ri * unit_pts                      # (k, 3)
-        cand = grid.candidates(center, ri + rmax)
-        cand = cand[cand != i]
-        if len(cand):
-            cpos = molecule.positions[cand]               # (c, 3)
-            crad = radii[cand]
-            # Keep only candidates whose sphere can actually reach ours.
-            d = np.linalg.norm(cpos - center, axis=1)
-            near = d < ri + crad
-            cpos, crad = cpos[near], crad[near]
-        else:
-            cpos = np.empty((0, 3))
-            crad = np.empty(0)
-        if len(cpos):
-            # buried[p] = any_j |pts[p] - cpos[j]| < crad[j]
-            d2 = np.sum((pts[:, None, :] - cpos[None, :, :]) ** 2, axis=2)
-            buried = np.any(d2 < (crad * crad)[None, :], axis=1)
-            keep = ~buried
-        else:
-            keep = np.ones(k, dtype=bool)
-        if not np.any(keep):
-            continue
-        kept_points.append(pts[keep])
-        kept_normals.append(unit_normals[keep])
-        kept_weights.append(unit_weights[keep] * (ri * ri))
-        kept_owner.append(np.full(int(keep.sum()), i, dtype=np.int64))
-
-    if not kept_points:
+    pts = radii[:, None, None] * unit_pts                 # (n, k, 3)
+    pts += molecule.positions[:, None, :]
+    # Flat (atom, point) indices of the survivors, in atom-major order.
+    kept = np.flatnonzero(~_buried(molecule.positions, radii, pts))
+    if len(kept) == 0:
         raise ValueError("surface sampling removed every point; "
                          "molecule may be degenerate")
-    return SurfaceQuadrature(np.vstack(kept_points), np.vstack(kept_normals),
-                             np.concatenate(kept_weights),
-                             np.concatenate(kept_owner))
+    owner, col = np.divmod(kept, pts.shape[1])
+    return SurfaceQuadrature(pts.reshape(-1, 3)[kept], unit_normals[col],
+                             unit_weights[col] * (radii * radii)[owner],
+                             owner)
+
+
+def _buried(pos: np.ndarray, radii: np.ndarray,
+            pts: np.ndarray) -> np.ndarray:
+    """``(n, k)`` mask: sphere point ``pts[a, p]`` lies strictly inside
+    the sphere of some atom other than ``a``."""
+    rmax = float(radii.max())
+    grid = CellGrid(pos, cell_size=max(2.0 * rmax, 1e-6))
+
+    def overlaps(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # Keep only neighbours whose sphere can actually reach ours.
+        return np.linalg.norm(pos[j] - pos[i], axis=1) < radii[i] + radii[j]
+
+    # Sorted by atom, so a block's pairs form one run per atom.
+    ii, jj = grid.pairs(2.0 * rmax, overlaps)
+    buried = np.zeros(pts.shape[:2], dtype=bool)
+    step = max(1, _BURIAL_BLOCK // pts.shape[1])
+    for lo in range(0, len(ii), step):
+        i, j = ii[lo:lo + step], jj[lo:lo + step]
+        # hit[pair, p] = |pts[i, p] - c_j| < r_j
+        d2 = np.sum((pts[i] - pos[j][:, None, :]) ** 2, axis=-1)
+        hit = d2 < (radii[j] * radii[j])[:, None]
+        runs = np.flatnonzero(np.diff(i, prepend=-1))
+        buried[i[runs]] |= np.logical_or.reduceat(hit, runs, axis=0)
+    return buried
 
 
 def sphere_surface(radius: float, *, npoints: int = 256,

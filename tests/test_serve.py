@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,11 @@ def _echo_worker_loop(rank, tasks, results):
     """Module-level so the spawn start method can pickle it."""
     while tasks.get() is not None:
         pass
+
+
+def _maps(pid: int) -> str:
+    """The memory map of process ``pid`` (Linux)."""
+    return Path(f"/proc/{pid}/maps").read_text()
 
 
 def _segments(names) -> set:
@@ -360,6 +366,47 @@ class TestLifecycle:
             registry.max_bytes = None
             fut = client.submit(key=rekey, retries=100)
             fut.result(timeout=300.0)
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                        reason="reads /proc/<pid>/maps")
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_eviction_unmaps_segment_on_every_worker(self, start_method):
+        """An evicted molecule leaves every worker's address space at that
+        worker's next task -- the worker busy at eviction time included."""
+        registry = MoleculeRegistry()
+        small = registry.get(registry.register(protein_blob(150, seed=81)))
+        busy = registry.get(registry.register(protein_blob(1500, seed=82)))
+        cfg = EpsConfig.resolve(small.params)
+        busy.plans_for(cfg.eps_born, cfg.eps_epol)
+        with ProcessFleet(2, start_method=start_method) as fleet:
+            # A sliced request attaches its molecule on both workers.
+            assert fleet.run_sliced(0, small, cfg).nslices == 2
+            evicted = fleet._published[(small.key, cfg)].bundle.name
+            pids = [proc.pid for proc in fleet._pool._procs]
+            assert all(evicted in _maps(pid) for pid in pids)
+
+            def busy_attached() -> bool:
+                pub = fleet._published.get((busy.key, cfg))
+                return pub is not None and any(
+                    pub.bundle.name in _maps(pid) for pid in pids)
+
+            # A cold request occupies one worker; evict once it attached.
+            run = threading.Thread(target=fleet.run_batch,
+                                   args=([(1, busy, cfg)],))
+            run.start()
+            try:
+                for _ in range(60000):
+                    if busy_attached():
+                        break
+                    threading.Event().wait(0.001)
+                fleet.forget(small)
+            finally:
+                run.join(timeout=300.0)
+            assert not run.is_alive()
+            # One task on each worker: the two slices of one request.
+            assert fleet.run_sliced(2, busy, cfg).nslices == 2
+            for pid in pids:
+                assert evicted not in _maps(pid), f"worker {pid} kept it"
 
     def test_stop_without_drain_rejects_pending(self, serve_molecules):
         server = EpolServer(fleet=InlineFleet(),

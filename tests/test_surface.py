@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_POINTS_PER_ATOM
+from repro.molecule.generators import icosahedral_shell, protein_blob
 from repro.molecule.molecule import from_arrays
+from repro.serve.registry import measured_nbytes
 from repro.surface.area import sphere_area, two_sphere_exposed_area
 from repro.surface.quadrature import (available_degrees, mesh_quadrature,
                                       triangle_rule)
-from repro.surface.sas import build_surface, sphere_surface
+from repro.surface.sas import _unit_sphere_points, build_surface, sphere_surface
 from repro.surface.sphere import (fibonacci_sphere, icosahedron, icosphere)
 
 
@@ -197,3 +200,56 @@ class TestSAS:
         assert surf.total_area == pytest.approx(sphere_area(3.0), rel=1e-9)
         np.testing.assert_allclose(np.linalg.norm(surf.points, axis=1), 3.0,
                                    atol=1e-9)
+
+
+def naive_surface(molecule, *, points_per_atom=DEFAULT_POINTS_PER_ATOM,
+                  probe_radius=0.0, method="fibonacci"):
+    """Reference sampler: each atom's sphere tested against every other
+    atom, no grid, with ``build_surface``'s float expressions.  Returns
+    points, normals, weights and owner."""
+    unit_pts, unit_normals, unit_weights = _unit_sphere_points(
+        points_per_atom, method)
+    pos = molecule.positions
+    radii = molecule.radii + probe_radius
+    ids = np.arange(len(molecule))
+    parts = []
+    for i in ids:
+        pts = pos[i] + radii[i] * unit_pts
+        near = ((np.linalg.norm(pos - pos[i], axis=1) < radii[i] + radii)
+                & (ids != i))
+        cpos, crad = pos[near], radii[near]
+        d2 = np.sum((pts[:, None, :] - cpos[None, :, :]) ** 2, axis=2)
+        keep = ~np.any(d2 < (crad * crad)[None, :], axis=1)
+        parts.append((pts[keep], unit_normals[keep],
+                      unit_weights[keep] * (radii[i] * radii[i]),
+                      np.full(int(keep.sum()), i)))
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+class TestSamplingMatchesNaive:
+    """The cell-list sampler is bit-identical to the all-pairs reference.
+
+    Each case also pins its exact point count.  No hash is pinned: the
+    sphere lattice goes through sin/cos, whose last bit may differ
+    between CPUs."""
+
+    @pytest.mark.parametrize("make, kwargs, npoints", [
+        (lambda: protein_blob(400, seed=5), {}, 1884),
+        (lambda: protein_blob(2500, seed=7), {}, 11269),
+        (lambda: icosahedral_shell(8000, seed=920000), {}, 30506),
+        (lambda: protein_blob(400, seed=5), {"method": "icosphere"}, 9559),
+        (lambda: protein_blob(400, seed=5), {"probe_radius": 1.4}, 243),
+    ], ids=["blob400", "blob2500", "capsid8000", "icosphere", "probe1.4"])
+    def test_bit_identical_to_naive(self, make, kwargs, npoints):
+        molecule = make()
+        got = build_surface(molecule, **kwargs)
+        assert got.npoints == npoints
+        want = naive_surface(molecule, **kwargs)
+        for name, g, w in zip(("points", "normals", "weights", "owner"),
+                              (got.points, got.normals, got.weights,
+                               got.owner), want):
+            assert g.dtype == w.dtype, name
+            assert np.array_equal(g, w), name
+        # Every array owns exactly its buffer: the serving registry's
+        # byte budget measures the buffers an entry keeps alive.
+        assert measured_nbytes(got) == got.nbytes()
