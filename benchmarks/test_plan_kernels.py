@@ -5,8 +5,10 @@ once and executing it with bucketed, batched NumPy kernels beats the
 legacy one-Python-iteration-per-leaf reference -- even *including* the
 plan build -- on a paper-scale (>= 5000-atom) molecule.  This harness
 measures both phases (Born integrals and the energy pair sum), asserts
->= 2x on the batched executor, verifies the results stay bit-identical,
-and writes ``benchmarks/results/BENCH_plan.json``.
+>= 2x on the batched executor, verifies the Born results stay
+bit-identical and the energy pair sum agrees to a relative 1e-12 (the
+executor evaluates each mirrored near-tile pair once), and writes
+``benchmarks/results/BENCH_plan.json``.
 
 Environment knobs: ``REPRO_BENCH_NATOMS`` overrides the molecule size,
 ``REPRO_BENCH_REPEATS`` the repetitions (best-of is recorded).
@@ -70,7 +72,7 @@ def test_plan_executor_speedup(results_dir):
         atoms, eps_e, timer=time.perf_counter))
     t_exec_e, got_e = _best_of(repeats, lambda: execute_epol_plan(
         epol_plan, ectx))
-    assert got_e.pair_sum == ref_e.pair_sum
+    assert abs(got_e.pair_sum - ref_e.pair_sum) <= 1e-12 * abs(ref_e.pair_sum)
 
     perleaf_total = t_perleaf_b + t_perleaf_e
     exec_total = t_exec_b + t_exec_e

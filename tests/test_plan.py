@@ -8,17 +8,20 @@ round-trips through flat arrays (shared memory) unchanged.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.born import _slice_concat
+from repro.core.energy import EnergyContext
 from repro.octree.mac import born_mac_multiplier, epol_mac_multiplier
 from repro.octree.partition import segment_by_weight
 from repro.octree.traversal import classify_against_ball
 from repro.plan import (PLAN_ARRAY_FIELDS, InteractionPlan, PlanCache,
-                        build_born_plan, build_epol_plan, execute_born_plan,
-                        execute_epol_plan, plan_stats, rank_imbalance,
-                        tile_histogram)
+                        build_born_plan, build_epol_plan, epol_row_terms,
+                        execute_born_plan, execute_epol_plan, plan_stats,
+                        rank_imbalance, tile_histogram)
 from repro.plan.cache import born_key, epol_key
 
 
@@ -90,6 +93,18 @@ class TestPlanner:
                 born_plan.near_points[ps:pe],
                 _slice_concat(a_tree, born_plan.near_leaves[ns:ne]))
 
+    def test_slice_concat_is_per_node_ranges(self, small_calc):
+        """``_slice_concat`` concatenates each node's point range, for any
+        node list: empty, repeated, out of order, internal nodes."""
+        tree = small_calc.atom_tree().tree
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 7, 40):
+            nodes = rng.integers(0, tree.point_start.size, size)
+            want = np.concatenate(
+                [np.arange(tree.point_start[n], tree.point_end[n])
+                 for n in nodes] + [np.empty(0, dtype=np.int64)])
+            assert np.array_equal(_slice_concat(tree, nodes), want)
+
     def test_validate_passes_on_built_plans(self, born_plan, epol_plan):
         born_plan.validate()
         epol_plan.validate()
@@ -145,6 +160,25 @@ class TestRoundTrip:
                               small_calc.quad_tree())
         assert np.array_equal(a.s_atom, b.s_atom)
         assert np.array_equal(a.s_node, b.s_node)
+
+
+class TestEpolMemory:
+    def test_warm_request_stays_below_one_pair_space_array(self, large_calc):
+        """A served request brings fresh Born radii to a warm plan.  Its
+        E_pol execution streams cache-sized tiles: the peak it allocates
+        stays below one float64 array over the plan's exact pairs."""
+        plan = large_calc.epol_plan()
+        ctx = large_calc.energy_context()
+        epol_row_terms(plan, ctx)  # warm: plan-lifetime derivations done
+        fresh = EnergyContext.build(ctx.atoms, ctx.born_sorted.copy(),
+                                    large_calc.params.eps_epol)
+        tracemalloc.start()
+        try:
+            epol_row_terms(plan, fresh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * int(plan.exact_pairs_per_row.sum())
 
 
 class TestPlanCache:
