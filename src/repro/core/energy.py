@@ -92,10 +92,10 @@ def approx_epol(ctx: EnergyContext, v_leaves: np.ndarray,
     """Run APPROX-EPOL for the given segment of atoms-tree leaves.
 
     Default entry point: builds an interaction plan for the segment and
-    executes it batched (:mod:`repro.plan`) -- bit-identical to
-    :func:`approx_epol_perleaf`, the reference loop the differential
-    tests compare against.  Callers holding a cached whole-tree plan
-    should slice it with :func:`repro.plan.execute_epol_plan` directly.
+    executes it batched (:mod:`repro.plan`), equal to the differential
+    tests' reference :func:`approx_epol_perleaf` to rounding.  Callers
+    holding a cached whole-tree plan should slice it with
+    :func:`repro.plan.execute_epol_plan` directly.
     """
     # Imported lazily: repro.plan imports this module for EnergyContext.
     from ..plan import build_epol_plan, execute_epol_plan
@@ -110,7 +110,7 @@ def approx_epol_perleaf(ctx: EnergyContext, v_leaves: np.ndarray,
                         ) -> EpolPartial:
     """Reference per-leaf APPROX-EPOL (one walk + one tile batch per leaf).
 
-    The plan executor reproduces this loop bit for bit; it stays as the
+    The plan executor matches this loop to rounding; it stays as the
     differential baseline and as the readable transcription of Fig. 3.
 
     Returns the raw pair sum (no dielectric prefactor); see
