@@ -5,9 +5,11 @@ once and executing it with bucketed, batched NumPy kernels beats the
 legacy one-Python-iteration-per-leaf reference -- even *including* the
 plan build -- on a paper-scale (>= 5000-atom) molecule.  This harness
 measures both phases (Born integrals and the energy pair sum), asserts
->= 2x on the batched executor, verifies the Born results stay
-bit-identical and the energy pair sum agrees to a relative 1e-12 (the
-executor evaluates each mirrored near-tile pair once), and writes
+>= 2x on the batched executor, verifies the Born far-field sums stay
+bit-identical, the Born near-field sums agree to 1e-12 of their largest
+magnitude (the executor evaluates each near tile as two GEMMs) and the
+energy pair sum to a relative 1e-12 (the executor evaluates each
+mirrored near-tile pair once), and writes
 ``benchmarks/results/BENCH_plan.json``.
 
 Environment knobs: ``REPRO_BENCH_NATOMS`` overrides the molecule size,
@@ -60,7 +62,8 @@ def test_plan_executor_speedup(results_dir):
         atoms, quad, eps_b, mac_variant=variant, timer=time.perf_counter))
     t_exec_b, got_b = _best_of(repeats, lambda: execute_born_plan(
         born_plan, atoms, quad))
-    assert np.array_equal(got_b.s_atom, ref_b.s_atom)
+    assert (np.abs(got_b.s_atom - ref_b.s_atom).max()
+            <= 1e-12 * np.abs(ref_b.s_atom).max())
     assert np.array_equal(got_b.s_node, ref_b.s_node)
 
     # -- Energy phase --------------------------------------------------

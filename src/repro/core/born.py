@@ -142,11 +142,11 @@ def approx_integrals(atoms: AtomTreeData, quad: QuadTreeData,
     """Run APPROX-INTEGRALS for the given segment of Q leaves.
 
     Default entry point: builds an interaction plan for the segment and
-    executes it batched (:mod:`repro.plan`) -- bit-identical to
-    :func:`approx_integrals_perleaf`, which remains as the reference the
-    differential tests compare against.  Callers holding a cached
-    whole-tree plan should slice it with
-    :func:`repro.plan.execute_born_plan` directly instead.
+    executes it batched (:mod:`repro.plan`).  It matches
+    :func:`approx_integrals_perleaf`, the reference the differential
+    tests compare against, in ``s_node`` and the counters bit for bit and
+    in ``s_atom`` to rounding.  Callers holding a cached whole-tree plan
+    should slice it with :func:`repro.plan.execute_born_plan` instead.
     """
     # Imported lazily: repro.plan imports this module for the tree bundles.
     from ..plan import build_born_plan, execute_born_plan
@@ -165,8 +165,9 @@ def approx_integrals_perleaf(atoms: AtomTreeData, quad: QuadTreeData,
                              ) -> BornPartial:
     """Reference per-leaf APPROX-INTEGRALS (one walk + one tile per leaf).
 
-    The plan executor reproduces this loop bit for bit; it stays as the
-    differential baseline and as the readable transcription of Fig. 2.
+    The plan executor reproduces its node sums and counters bit for bit
+    and its atom sums to rounding; it stays as the differential baseline
+    and as the readable transcription of Fig. 2.
 
     Parameters
     ----------

@@ -1,31 +1,31 @@
 """Batched plan executors: pure kernels over plan row ranges.
 
-These replace the per-leaf Python loops of the legacy kernels with a few
-large concatenated GEMM/einsum batches per distinct tile shape.  The Born
-executor reproduces the legacy results *bit for bit*:
+These replace the per-leaf Python loops of the legacy kernels:
 
-* rows with the same tile shape are bucketed and evaluated in one batched
-  ``np.matmul``/``np.einsum`` call -- batched BLAS/einsum results are
-  bitwise equal to the per-tile 2-D calls, and each output row depends
-  only on its own inputs, so zero/arbitrary padding of the ragged atoms
-  dimension never leaks into real rows;
+* the far fields are bucketed by far count and evaluated in a few
+  batched ``np.matmul``/``np.einsum`` calls, bitwise equal to the
+  per-tile 2-D calls -- so the Born node sums match the per-leaf loop
+  bit for bit;
+* the near fields run one fused pass per row over cache-sized tiles --
+  Born as two GEMMs per tile (:func:`born_flat_values`), E_pol with each
+  mirrored near-tile pair once (:func:`epol_row_terms`) -- so they match
+  the per-leaf loop to rounding; ``tests/test_born_near_field.py`` and
+  ``tests/test_goldens.py`` pin them;
 * scatters into the additive accumulators use ``np.add.at`` over the
-  flat CSR arrays in row-major order -- element order identical to the
-  legacy sequential per-leaf ``+=`` passes, so the accumulation order
-  (and hence the float result) is unchanged.
+  flat CSR arrays in row-major order.
 
-Division guards mirror the legacy per-tile ``r2.min()`` branch: a plain
-division when every squared distance in the chunk is clearly nonzero,
-``errstate`` + ``nan_to_num`` otherwise.  Both arms produce bitwise
-identical values on finite inputs (``nan_to_num`` is the identity
-there), so the guard is purely a performance choice and never changes a
-result, whichever arm the chunking happens to select.
+Every value depends only on its row, the plan and the inputs, and every
+substrate scatters or folds rows in ascending order, so all substrates
+agree bit for bit.
 
-The E_pol executor (:func:`epol_row_terms`) evaluates each mirrored
-near-tile pair once, so it matches the per-leaf loop only to rounding;
-``tests/test_goldens.py`` pins its energies.  A row's terms depend only
-on the plan and the inputs, and every substrate folds them in ascending
-row order, so all substrates agree bit for bit.
+Division guard.  The Born near field takes R^2 from a centred GEMM
+expansion, which resolves it only to ~16 ulps of ``|t|^2 + |s|^2``.  A
+tile whose R^2 min is at or below that floor (or 1e-24) holds a
+(near-)coincident atom/point pair: it recomputes R^2 from direct
+differences, so a coincident pair gives exactly 0, and drops the terms
+whose ``1/R^power`` is not finite, as ``pairwise_r6_exact`` drops its
+non-finite terms.  Surface points stay
+far above the floor, so real inputs never take this branch.
 """
 
 from __future__ import annotations
@@ -51,6 +51,11 @@ from .schema import InteractionPlan
 #: only the final CSR-order scatter / left fold carries the accumulation
 #: order.
 MAX_TILE_ELEMS = 1 << 15
+
+#: Born near-tile guard (module docstring): a tile whose expanded R^2
+#: min is at or below ``max(R2_GUARD, R2_ULPS * (max|t|^2 + max|s|^2))``.
+R2_GUARD = 1e-24
+R2_ULPS = 8.0 * float(np.finfo(np.float64).eps)
 
 
 def _check_plan(plan: InteractionPlan, kind: str,
@@ -122,7 +127,14 @@ def born_flat_values(plan: InteractionPlan, atoms: AtomTreeData,
     scatter carries the accumulation order -- :func:`execute_born_plan`
     for a range partial, or one full-plan scatter over values filled
     range by range anywhere (:func:`repro.serve.sliced.reduce_born_flat`),
-    bit-identical however the rows were partitioned."""
+    bit-identical however the rows were partitioned.
+
+    The near field makes one pass per row: it gathers the row's near
+    atoms once into ``X = [x, y, z, |t|^2, 1]``, then for each tile of at
+    most ``MAX_TILE_ELEMS // q`` atoms takes ``R^2 = Bt @ X``, replaces it
+    in place by ``1/R^power`` and accumulates ``G = Wt @ (1/R^power)``;
+    a slot's value is ``G0 + x G1 + y G2 + z G3``.  It matches
+    ``pairwise_r6_exact`` to rounding, not bit for bit."""
     lo, hi = _check_plan(plan, "born", row_range)
     far_span, near_span = born_spans(plan, lo, hi)
     want = ((far_span.stop - far_span.start,),
@@ -158,118 +170,100 @@ def born_flat_values(plan: InteractionPlan, atoms: AtomTreeData,
                 dots = np.matmul(diff, ntilde[r][:, :, None])[:, :, 0]
                 far[span.ravel() - far_base] = (dots / denom).ravel()
 
-    # -- near field: exact r^power tiles, GEMM-batched by tile shape ----
-    q_sizes = plan.target_sizes[rows]
-    a_counts = plan.near_point_counts[rows]
-    near_base = near_span.start
+    # -- near field: two GEMMs per (q, m) tile of each row -------------
     if near.size:
-        qs_all = plan.target_point_start
-        # One CSR-ordered (and plan-memoised) gather of every near atom
-        # position; each segment below is then a *contiguous view* into
-        # it -- no index arrays, no masks, no padding in the hot loop.
-        apos_csr = plan.gathered("atom_pos", a_tree.sorted_points)
-        # Cut every row's atom range into segments of ~MAX_TILE_ELEMS
-        # tile elements so each GEMM block is L2-resident.  Bit-neutral:
-        # every (row, atom) output element keeps its full-Q reduction
-        # below, and near slots are written once, by position -- only
-        # the caller's scatter carries the accumulation order.
-        blk = np.maximum(MAX_TILE_ELEMS // np.maximum(q_sizes, 1), 1)
-        nseg = -(-a_counts // blk)
-        seg_row = np.repeat(rows, nseg)
-        first = np.cumsum(nseg) - nseg
-        seg_off = (np.arange(seg_row.size, dtype=np.int64)
-                   - np.repeat(first, nseg)) * np.repeat(blk, nseg)
-        seg_len = np.minimum(np.repeat(a_counts, nseg) - seg_off,
-                             np.repeat(blk, nseg))
-        seg_q = np.repeat(q_sizes, nseg)
-        buf_r2, buf_num, buf_den = _Scratch(), _Scratch(), _Scratch()
-        buf_tc, buf_tm2 = _Scratch(), _Scratch()
-        buf_s2row, buf_swnrow = _Scratch(), _Scratch()
-        for q in np.unique(seg_q):
-            sel = np.flatnonzero(seg_q == q)
-            # Hoist every Q-side quantity out of the segment loop: one
-            # batched computation per distinct row of the bucket, each
-            # bitwise equal to its per-tile counterpart (row-wise ops on
-            # stacked rows touch only that row's values).
-            urows = np.unique(seg_row[sel])
-            qidx = qs_all[urows][:, None] \
-                + np.arange(q, dtype=np.int64)[None, :]
-            qpos = quad.sorted_points[qidx]              # (U, Q, 3)
-            u_center = qpos.mean(axis=1)                 # (U, 3)
-            u_sc = qpos - u_center[:, None, :]           # (U, Q, 3)
-            u_wn = quad.sorted_weights[qidx][:, :, None] \
-                * quad.sorted_normals[qidx]              # (U, Q, 3)
-            u_s2 = (u_sc * u_sc).sum(axis=2)             # (U, Q)
-            u_swn = (u_sc * u_wn).sum(axis=2)            # (U, Q)
-            u_scT = u_sc.transpose(0, 2, 1).copy()       # (U, 3, Q)
-            u_wnT = u_wn.transpose(0, 2, 1).copy()
-            ri_all = np.searchsorted(urows, seg_row[sel])
-            s0_all = plan.near_point_start[seg_row[sel]] + seg_off[sel]
-            ln_all = seg_len[sel]
-            blkq = max(MAX_TILE_ELEMS // max(int(q), 1), 1)
-            s2_row = buf_s2row.view((blkq, q))
-            swn_row = buf_swnrow.view((blkq, q))
-            last_ri = -1
-            # One 2-D tile per segment, every input a contiguous slice.
-            # 2-D ops on a segment equal the corresponding slices of a
-            # batched 3-D call bitwise, which in turn equal the legacy
-            # per-tile kernel; the in-place ufunc chain evaluates the
-            # identical expression tree ((t2 + s2) - 2*tq == (t2 + s2)
-            # + (-2)*tq; (r2*r2)*r2), just into recycled storage.
-            for j in range(sel.size):
-                ri = ri_all[j]
-                s0 = int(s0_all[j])
-                ln = int(ln_all[j])
-                if ri != last_ri:
-                    # Materialise the row-constant broadcast operands
-                    # once per row (a row's first segment is its longest)
-                    # so the adds/subtracts below run all-contiguous
-                    # inner loops; a physical copy of a broadcast operand
-                    # never changes the operation's values.
-                    s2_row[:ln] = u_s2[ri][None, :]
-                    swn_row[:ln] = u_swn[ri][None, :]
-                    last_ri = ri
-                t_c = np.subtract(apos_csr[s0:s0 + ln], u_center[ri],
-                                  out=buf_tc.view((ln, 3)))
-                shape = (ln, q)
-                # Scaling t_c by -2 before the GEMM is exact (power-of-2
-                # multiply shifts exponents only), so this equals
-                # -2*(t_c @ s_c^T) bitwise while saving one full pass.
-                tm2 = np.multiply(t_c, -2.0, out=buf_tm2.view((ln, 3)))
-                r2 = np.matmul(tm2, u_scT[ri], out=buf_r2.view(shape))
-                # A length-3 np.sum is a sequential left fold, so the
-                # spelt-out column arithmetic below is bitwise equal to
-                # (t_c*t_c).sum(axis=1) while replacing per-row
-                # 3-element reduction loops with whole-column ufuncs.
-                x, y, z = t_c[:, 0], t_c[:, 1], t_c[:, 2]
-                tmp = buf_num.view(shape)
-                np.copyto(tmp, (x * x + y * y + z * z)[:, None])
-                np.add(tmp, s2_row[:ln], out=tmp)
-                np.add(r2, tmp, out=r2)
-                # The zero clamp is the identity unless cancellation
-                # produced a negative, so one min() read replaces a full
-                # read-write pass in the common case; the clamped min is
-                # exactly max(r2min, 0) either way, so the division
-                # guard below sees the same value as the legacy kernel.
-                r2min = float(r2.min())
-                if r2min < 0.0:
-                    np.maximum(r2, 0.0, out=r2)
-                    r2min = 0.0
-                num = np.matmul(t_c, u_wnT[ri],
-                                out=buf_num.view(shape))
-                np.subtract(swn_row[:ln], num, out=num)
-                denom = np.multiply(r2, r2, out=buf_den.view(shape))
-                if power == 6:
-                    np.multiply(denom, r2, out=denom)
-                if r2min > 1e-24:
-                    term = np.divide(num, denom, out=num)
+        # Target-side operands of every row in the range, centred on each
+        # leaf's point centroid (which keeps the expansion's cancellation
+        # at the 1e-11 level): R^2 = Bt @ X with Bt = [-2s, 1, |s|^2], and
+        # (s - t).wn = Wt @ [1, t] with Wt = [s.wn; -wn].  Row t's
+        # operands are entries [o, o + q) of each.
+        q_sizes = plan.target_sizes[lo:hi]
+        q_off = np.concatenate(([0], np.cumsum(q_sizes)))
+        qidx = _slice_concat(q_tree, plan.target_leaves[lo:hi])
+        s_c = quad.sorted_points[qidx]
+        centroid = np.add.reduceat(s_c, q_off[:-1], axis=0) \
+            / q_sizes[:, None]
+        s_c -= np.repeat(centroid, q_sizes, axis=0)
+        wn = quad.sorted_weights[qidx, None] * quad.sorted_normals[qidx]
+        bt = np.empty((qidx.size, 5))
+        np.multiply(s_c, -2.0, out=bt[:, :3])
+        bt[:, 3] = 1.0
+        bt[:, 4] = (s_c * s_c).sum(axis=1)
+        wt = np.empty((4, qidx.size))
+        wt[0] = (s_c * wn).sum(axis=1)
+        np.negative(wn.T, out=wt[1:])
+        # Per-row guard floor: see the module docstring.
+        s2_max = np.maximum.reduceat(bt[:, 4], q_off[:-1]).tolist()
+        pos_t = np.ascontiguousarray(a_tree.sorted_points.T)
+        point_start = plan.near_point_start[lo:hi + 1].tolist()
+        q_off = q_off.tolist()
+        buf_x, buf_g = _Scratch(), _Scratch()
+        buf_r2, buf_tmp = _Scratch(), _Scratch()
+        for t in range(hi - lo):
+            s0, s1 = point_start[t], point_start[t + 1]
+            if s1 == s0:
+                continue
+            o, q, n = q_off[t], q_off[t + 1] - q_off[t], s1 - s0
+            x = buf_x.view((5, n))
+            tx, ty, tz, t2, ones = x
+            # Plan point ids are in range; "clip" skips take's buffered
+            # bounds-checked copy.
+            np.take(pos_t, plan.near_points[s0:s1], axis=1, out=x[:3],
+                    mode="clip")
+            np.subtract(x[:3], centroid[t, :, None], out=x[:3])
+            # |t|^2, with the last row as scratch until it is set to 1.
+            np.multiply(tx, tx, out=t2)
+            np.multiply(ty, ty, out=ones)
+            np.add(t2, ones, out=t2)
+            np.multiply(tz, tz, out=ones)
+            np.add(t2, ones, out=t2)
+            ones.fill(1.0)
+            floor = max(R2_GUARD, R2_ULPS * (float(t2.max()) + s2_max[t]))
+            g = buf_g.view((4, n))
+            blk = max(MAX_TILE_ELEMS // q, 1)
+            for a in range(0, n, blk):
+                b = min(a + blk, n)
+                shape = (q, b - a)
+                r2 = np.matmul(bt[o:o + q], x[:, a:b],
+                               out=buf_r2.view(shape))
+                tmp = buf_tmp.view(shape)
+                if float(r2.min()) > floor:
+                    _inverse_power(r2, tmp, power)
                 else:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        term = np.divide(num, denom, out=num)
-                    np.nan_to_num(term, copy=False, nan=0.0, posinf=0.0,
+                    _direct_r2(s_c[o:o + q], x[:3, a:b], r2, tmp)
+                    with np.errstate(divide="ignore", over="ignore"):
+                        _inverse_power(r2, tmp, power)
+                    np.nan_to_num(r2, copy=False, nan=0.0, posinf=0.0,
                                   neginf=0.0)
-                np.sum(term, axis=1,
-                       out=near[s0 - near_base:s0 - near_base + ln])
+                np.matmul(wt[:, o:o + q], r2, out=g[:, a:b])
+            # s_A = G0 + x G1 + y G2 + z G3, into the row's own slots.
+            out = near[s0 - near_span.start:s1 - near_span.start]
+            np.multiply(tx, g[1], out=out)
+            np.add(g[0], out, out=out)
+            np.multiply(ty, g[2], out=g[2])
+            np.add(out, g[2], out=out)
+            np.multiply(tz, g[3], out=g[3])
+            np.add(out, g[3], out=out)
+
+
+def _inverse_power(r2: np.ndarray, tmp: np.ndarray, power: int) -> None:
+    """Replace ``r2`` in place by ``1 / r2**(power/2)``."""
+    if power == 6:
+        np.square(r2, out=tmp)
+        np.multiply(r2, tmp, out=r2)
+    else:
+        np.square(r2, out=r2)
+    np.divide(1.0, r2, out=r2)
+
+
+def _direct_r2(s_c: np.ndarray, t_c: np.ndarray, out: np.ndarray,
+               tmp: np.ndarray) -> None:
+    """``out[j, i] = |s_c[j] - t_c[:, i]|^2`` from coordinate differences."""
+    out.fill(0.0)
+    for axis in range(3):
+        d = np.subtract(s_c[:, axis, None], t_c[axis, None, :], out=tmp)
+        np.multiply(d, d, out=d)
+        np.add(out, d, out=out)
 
 
 @declares_effects()
@@ -280,11 +274,12 @@ def execute_born_plan(plan: InteractionPlan, atoms: AtomTreeData,
                       ) -> BornPartial:
     """APPROX-INTEGRALS over plan rows ``[lo, hi)``, batched.
 
-    Bit-identical to running the legacy per-leaf loop over the same target
-    leaves; partials from disjoint row ranges combine by addition exactly
-    as the per-leaf partials did.  The :func:`born_flat_values` kernel
-    plus two ``np.add.at`` scatters in row-major element order -- the
-    legacy per-leaf fancy-index ``+=`` sequence.
+    Matches the legacy per-leaf loop over the same target leaves: the
+    node sums and counters bit for bit, the atom sums to rounding (the
+    near field is two GEMMs per tile).  Partials from disjoint row ranges
+    combine by addition exactly as the per-leaf partials did.  The
+    :func:`born_flat_values` kernel plus two ``np.add.at`` scatters in
+    row-major element order -- the legacy per-leaf ``+=`` sequence.
     """
     lo, hi = _check_plan(plan, "born", row_range)
     partial = BornPartial.zeros(atoms)

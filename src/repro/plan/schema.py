@@ -205,12 +205,6 @@ class InteractionPlan:
         self._gather_cache[name] = (tuple(sources), out)
         return out
 
-    def gathered(self, name: str, source: np.ndarray) -> np.ndarray:
-        """Memoised ``source[near_points]`` gather (contiguous CSR-order
-        operand copies the executors stream through; see :meth:`memo`)."""
-        return self.memo(name, (source,),
-                         lambda: source[self.near_points])
-
     # -- (de)serialisation for shared-memory publication ---------------
     def meta(self) -> dict:
         """Picklable scalar metadata (pairs with :meth:`as_arrays`)."""

@@ -2,8 +2,11 @@
 
 The plan/execute split promises: the planner records exactly the MAC
 decisions of the legacy per-leaf traversal, the executors reproduce the
-legacy kernels bit for bit over any row range, and the whole structure
-round-trips through flat arrays (shared memory) unchanged.
+legacy kernels over any row range -- every work counter and the Born
+far-field sums bit for bit, the near fields to rounding
+(``tests/test_born_near_field.py``, ``tests/test_goldens.py``) -- and
+the whole structure round-trips through flat arrays (shared memory)
+unchanged.
 """
 
 from __future__ import annotations
@@ -179,6 +182,24 @@ class TestEpolMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * int(plan.exact_pairs_per_row.sum())
+
+
+class TestBornMemory:
+    def test_execution_pins_nothing_plan_sized(self, large_calc):
+        """Born execution gathers each row's atom positions as it goes
+        and memoises nothing on the plan: after one execution of a fresh
+        plan, the memory still held stays under one float64 per near
+        point (a memoised position gather alone would hold three)."""
+        atoms, quad = large_calc.atom_tree(), large_calc.quad_tree()
+        plan = build_born_plan(atoms, quad, large_calc.params.eps_born,
+                               mac_variant=large_calc.params.born_mac_variant)
+        tracemalloc.start()
+        try:
+            execute_born_plan(plan, atoms, quad)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * plan.near_points.size
 
 
 class TestPlanCache:

@@ -5,13 +5,17 @@ These tests re-derive the full pipeline with ``approx_integrals_perleaf``
 and compare the plan-driven default path at P in {1, 2, 4}, on the
 ``sim`` and ``real`` backends, and under ``REPRO_CHECKS=1``:
 
-* the Born executor, the Born radii and every work counter must match
-  the reference *exactly*;
+* every work counter and the Born far-field node sums ``s_node`` must
+  match the reference *exactly*;
+* the Born near-field atom sums must match to 1e-12 of their largest
+  magnitude, and the Born radii to a relative 1e-12 -- the executor
+  evaluates each near tile as two GEMMs, which moves the sums by
+  rounding only;
 * E_pol pair sums and energies must match to a relative 1e-12 -- the
   executor evaluates each mirrored near-tile pair once, which moves the
   sum by rounding only (``tests/test_goldens.py`` pins the values);
 * the ``sim`` and ``real`` backends at the same P must agree with each
-  other bit for bit.
+  other bit for bit, and a checked run with its unchecked twin.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ def legacy_pipeline(calc, nranks):
 
 class TestKernelSlicesBitIdentical:
     """Per-rank slices: executor over plan rows == per-leaf loop over the
-    same leaves, bit for bit (arrays, scalars, and counters)."""
+    same leaves -- counters and far-field sums bit for bit, near-field
+    sums to rounding."""
 
     @pytest.mark.parametrize("nranks", WORKER_COUNTS)
     def test_born_slices(self, calc, nranks):
@@ -81,7 +86,9 @@ class TestKernelSlicesBitIdentical:
             reference = approx_integrals_perleaf(
                 atoms, quad, quad.tree.leaves[lo:hi], calc.params.eps_born,
                 mac_variant=calc.params.born_mac_variant)
-            assert np.array_equal(batched.s_atom, reference.s_atom)
+            scale = np.abs(reference.s_atom).max()
+            assert (np.abs(batched.s_atom - reference.s_atom).max()
+                    <= 1e-12 * scale)
             assert np.array_equal(batched.s_node, reference.s_node)
             assert (batched.counters.exact_pairs
                     == reference.counters.exact_pairs)
@@ -139,28 +146,31 @@ def _sim_run(calc, workers):
 
 class TestPipelineBitIdentical:
     """End-to-end: the plan-driven default path reproduces the legacy
-    pipeline -- Born radii exactly, energies to rounding -- for every
-    worker count and backend, and the backends agree bit for bit."""
+    pipeline -- Born radii and energies to rounding -- for every worker
+    count and backend, and the backends agree bit for bit."""
 
     def test_serial_run(self, calc):
         ref_energy, ref_radii = legacy_pipeline(calc, 1)
         res = calc.run()
         assert res.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
-        assert np.array_equal(res.born_radii, ref_radii)
+        np.testing.assert_allclose(res.born_radii, ref_radii, rtol=1e-12,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_real_backend(self, calc, workers):
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
         res = calc.compute(backend="real", workers=workers)
         assert res.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
-        assert np.array_equal(res.born_radii, ref_radii)
+        np.testing.assert_allclose(res.born_radii, ref_radii, rtol=1e-12,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_sim_backend(self, calc, workers):
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
         sim = _sim_run(calc, workers)
         assert sim.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
-        assert np.array_equal(sim.born_radii, ref_radii)
+        np.testing.assert_allclose(sim.born_radii, ref_radii, rtol=1e-12,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_real_and_sim_backends_agree(self, calc, workers):
@@ -174,7 +184,7 @@ class TestCheckedRunsBitIdentical:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_repro_checks_leg(self, calc, workers, monkeypatch):
         """REPRO_CHECKS=1 instrumentation must not perturb the numerics:
-        checked runs match the legacy pipeline (radii exactly, energy to
+        checked runs match the legacy pipeline (radii and energy to
         rounding) and the unchecked run bit for bit, and report zero
         races / ordering violations."""
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
@@ -183,6 +193,8 @@ class TestCheckedRunsBitIdentical:
         res = calc.compute(backend="real", workers=workers)
         assert res.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
         assert res.energy == plain.energy
-        assert np.array_equal(res.born_radii, ref_radii)
+        assert np.array_equal(res.born_radii, plain.born_radii)
+        np.testing.assert_allclose(res.born_radii, ref_radii, rtol=1e-12,
+                                   atol=0.0)
         assert res.checks is not None
         assert res.checks.ok
