@@ -1,56 +1,50 @@
 """Determinism & race analysis suite.
 
-The repo's headline guarantee -- serial, simulated-MPI and real
-process-pool backends produce bit-compatible energies -- rests on three
-conventions:
+The repo's headline guarantee -- serial, simulated and real process
+runs produce bit-identical energies -- rests on three conventions:
 
-1. every cross-rank reduction uses the fixed rank-order sums of
-   :func:`repro.parallel.simmpi.collectives.reduce_values`;
-2. every shared-memory segment has a single writer rank between barriers;
-3. every rank issues the identical collective sequence.
+1. every substrate runs the one row-range pipeline
+   (:func:`repro.serve.sliced.evaluate_ranges`), whose reductions replay
+   the serial scatter and fold;
+2. the workers of a sliced request write disjoint spans of its scratch
+   segment;
+3. every simulated rank issues the identical collective sequence.
 
 This package makes those conventions *executable*:
 
 * :mod:`.linter` / :mod:`.rules` -- ``repro-lint``, an AST pass with
-  repo-specific rules (REP001..REP007), driven by ``python -m repro.lint``;
+  repo-specific rules (REP001..REP009), driven by ``python -m repro.lint``;
 * :mod:`.verify` -- ``repro-verify``, the whole-program pass
   (interprocedural effect inference, shm typestate, static
   collective-matching), driven by ``python -m repro.verify``;
 * :mod:`.baseline` -- the shared fingerprint-baseline ratchet used by
   both CLIs' ``--baseline`` flags;
-* :mod:`.races` -- an opt-in shadow-tracking write-intent recorder for
-  :class:`~repro.parallel.procpool.shm.SharedArrayBundle` /
-  :class:`~repro.parallel.procpool.shm.ScratchBuffer` that reports
-  overlapping same-epoch writes from different ranks;
+* :mod:`.races` -- the write-intent recorder and overlap finder the
+  process fleet runs over its sliced scratch writes;
 * :mod:`.ordering` -- a collective-ordering verifier that diffs each
-  rank's collective call sequence at run end;
-* :mod:`.checks` -- the ``REPRO_CHECKS=1`` gate and the combined
-  :class:`~.checks.DeterminismReport`.
+  simulated rank's collective call sequence;
+* :mod:`.checks` -- the ``REPRO_CHECKS=1`` gate.
 
-See ``docs/ANALYSIS.md`` for the rule catalogue and the epoch model.
+See ``docs/ANALYSIS.md`` for the rule catalogue.
 """
 
 from .baseline import BaselineError, load_baseline, write_baseline
-from .checks import (DeterminismReport, ReproCheckError, checks_enabled)
+from .checks import checks_enabled
 from .linter import Finding, lint_file, lint_paths, lint_source
 from .ordering import (CollectiveLog, CollectiveRecord, OrderingReport,
                        diff_collective_logs)
-from .races import (RaceFinding, TrackedArray, WriteIntent,
-                    WriteIntentTracker, find_races, tracked_view)
+from .races import RaceFinding, WriteIntent, WriteIntentTracker, find_races
 from .rules import RULES, Rule
 
 __all__ = [
     "BaselineError",
     "CollectiveLog",
     "CollectiveRecord",
-    "DeterminismReport",
     "Finding",
     "OrderingReport",
     "RULES",
     "RaceFinding",
-    "ReproCheckError",
     "Rule",
-    "TrackedArray",
     "WriteIntent",
     "WriteIntentTracker",
     "checks_enabled",
@@ -60,6 +54,5 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "load_baseline",
-    "tracked_view",
     "write_baseline",
 ]

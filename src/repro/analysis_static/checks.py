@@ -1,21 +1,17 @@
-"""The ``REPRO_CHECKS`` gate and the combined determinism report.
+"""The ``REPRO_CHECKS`` gate.
 
 Setting ``REPRO_CHECKS=1`` in the environment arms the runtime checkers:
-the procpool workers shadow-track shared-memory write intents
-(:mod:`.races`) and log their collective sequences (:mod:`.ordering`); the
-parent merges both at run end and raises :class:`ReproCheckError` on any
-finding, so CI runs with the flag set fail loudly instead of silently
-producing irreproducible numbers.  The simulated engine uses the same gate
-to attach a structured ordering report to collective-mismatch deadlocks.
+process-fleet workers validate the plans they attach and declare the
+scratch spans each slice writes, and the parent fails a sliced request
+whose slices overlap (:mod:`.races`); the simulated engine attaches a
+structured collective-ordering report (:mod:`.ordering`) to
+collective-mismatch deadlocks.  CI runs with the flag set fail loudly
+instead of silently producing irreproducible numbers.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-
-from .ordering import OrderingReport
-from .races import RaceFinding
 
 #: Environment variable arming the runtime determinism checkers.
 ENV_VAR = "REPRO_CHECKS"
@@ -26,37 +22,3 @@ _FALSY = frozenset({"", "0", "false", "off", "no"})
 def checks_enabled() -> bool:
     """Whether the runtime determinism checkers are armed."""
     return os.environ.get(ENV_VAR, "").strip().lower() not in _FALSY
-
-
-class ReproCheckError(RuntimeError):
-    """A runtime determinism checker found a violation."""
-
-
-@dataclass
-class DeterminismReport:
-    """Merged outcome of one checked run: races + collective ordering."""
-
-    nranks: int
-    races: list[RaceFinding] = field(default_factory=list)
-    ordering: OrderingReport | None = None
-    intents_recorded: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.races and (self.ordering is None
-                                   or self.ordering.ok)
-
-    def format(self) -> str:
-        lines = [f"determinism checks over {self.nranks} rank(s): "
-                 f"{'ok' if self.ok else 'FAILED'} "
-                 f"({self.intents_recorded} write intent(s), "
-                 f"{len(self.races)} race(s))"]
-        for race in self.races:
-            lines.append(race.describe())
-        if self.ordering is not None:
-            lines.append(self.ordering.format())
-        return "\n".join(lines)
-
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise ReproCheckError(self.format())

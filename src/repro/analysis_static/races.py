@@ -1,30 +1,21 @@
-"""Shared-memory race detector: shadow tracking of write intents.
+"""Shared-memory race detector: declared write intents across workers.
 
-The procpool determinism contract says every
-:class:`~repro.parallel.procpool.shm.SharedArrayBundle` /
-:class:`~repro.parallel.procpool.shm.ScratchBuffer` element has **one
-writer rank per epoch**, where an epoch is the interval between two
-barrier arrivals (every collective is two barrier phases, so epochs
-advance at least twice per collective).  This module makes that checkable:
+A sliced request's workers write disjoint flat-CSR spans of one
+per-request scratch segment (:meth:`repro.serve.fleet.ProcessFleet.
+run_sliced`), all in the same round, with nothing ordering their writes.
+Under ``REPRO_CHECKS=1`` each worker declares the spans it wrote:
 
-* :func:`tracked_view` wraps a NumPy view in :class:`TrackedArray`, whose
-  ``__setitem__`` records a :class:`WriteIntent` -- (rank, array name,
-  covering flat slice, epoch, call stack) -- before delegating;
-* :class:`WriteIntentTracker` is the per-rank recorder; the backend
-  advances its epoch at every barrier;
-* :func:`find_races` merges all ranks' intents and reports overlapping
-  same-epoch writes from *different* ranks, with both stacks.
+* :class:`WriteIntentTracker` is the per-worker recorder; its
+  :meth:`~WriteIntentTracker.record_write` turns one ``__setitem__`` key
+  into a :class:`WriteIntent` -- (rank, array name, covering flat slice,
+  call stack);
+* :func:`find_races` merges every worker's intents and reports
+  overlapping writes from *different* ranks, with both stacks.
 
-Tracking is strictly opt-in: with no tracker attached the shm classes
-return plain ``np.ndarray`` views and allocate nothing (asserted by a
-regression test).  Slices are reduced to a conservative *covering* flat
-interval, so exotic fancy-indexed writes may report a superset of the
-touched elements -- fine for a checker whose clean state must be exact
-(disjoint single-writer slices produce disjoint covers).
-
-Derived views (``tracked[2:5]`` then writing through the result) do not
-inherit tracking; the procpool write sites all write through the base
-view, which is the pattern the single-writer contract is stated in.
+Slices are reduced to a conservative *covering* flat interval, so exotic
+fancy-indexed writes may report a superset of the touched elements --
+fine for a checker whose clean state must be exact (disjoint
+single-writer slices produce disjoint covers).
 """
 
 from __future__ import annotations
@@ -41,14 +32,13 @@ _STACK_DEPTH = 6
 
 @dataclass(frozen=True)
 class WriteIntent:
-    """One recorded write: ``rank`` wrote ``[start, stop)`` (flat, covering)
-    of ``array`` during ``epoch``."""
+    """One recorded write: ``rank`` wrote ``[start, stop)`` (flat,
+    covering) of ``array``."""
 
     rank: int
     array: str
     start: int
     stop: int
-    epoch: int
     stack: str
 
     def span(self) -> str:
@@ -57,15 +47,14 @@ class WriteIntent:
 
 @dataclass(frozen=True)
 class RaceFinding:
-    """Two ranks wrote overlapping elements in the same epoch."""
+    """Two ranks wrote overlapping elements of one array."""
 
     array: str
-    epoch: int
     a: WriteIntent
     b: WriteIntent
 
     def describe(self) -> str:
-        return (f"race on {self.array} in epoch {self.epoch}: "
+        return (f"race on {self.array}: "
                 f"rank {self.a.rank} wrote {self.a.span()} and "
                 f"rank {self.b.rank} wrote {self.b.span()}\n"
                 f"  rank {self.a.rank} stack:\n{_indent(self.a.stack)}"
@@ -129,20 +118,19 @@ def flat_cover(shape: Sequence[int], key: Any) -> tuple[int, int] | None:
 
 
 class WriteIntentTracker:
-    """Per-rank write-intent recorder with a barrier-driven epoch counter.
+    """Per-rank write-intent recorder.
 
-    Intents deduplicate on (array, interval, epoch) so hot write loops do
-    not balloon the log; the first occurrence keeps its stack.
+    Intents deduplicate on (array, interval) so hot write loops do not
+    balloon the log; the first occurrence keeps its stack.
     """
 
     def __init__(self, rank: int, *, capture_stacks: bool = True,
                  max_intents: int = 100_000) -> None:
         self.rank = int(rank)
-        self.epoch = 0
         self.capture_stacks = capture_stacks
         self.max_intents = max_intents
         self.intents: list[WriteIntent] = []
-        self._seen: set[tuple[str, int, int, int]] = set()
+        self._seen: set[tuple[str, int, int]] = set()
         self.dropped = 0
 
     def record_write(self, array: str, shape: Sequence[int],
@@ -152,7 +140,7 @@ class WriteIntentTracker:
         if cover is None:
             return
         lo, hi = cover
-        dedup = (array, lo, hi, self.epoch)
+        dedup = (array, lo, hi)
         if dedup in self._seen:
             return
         if len(self.intents) >= self.max_intents:
@@ -164,23 +152,17 @@ class WriteIntentTracker:
             frames = traceback.extract_stack()[:-2][-_STACK_DEPTH:]
             stack = "".join(traceback.format_list(frames))
         self.intents.append(WriteIntent(
-            rank=self.rank, array=array, start=lo, stop=hi,
-            epoch=self.epoch, stack=stack))
-
-    def advance_epoch(self) -> None:
-        """Called at every barrier arrival; writes before and after a
-        barrier can never race."""
-        self.epoch += 1
+            rank=self.rank, array=array, start=lo, stop=hi, stack=stack))
 
     # -- cross-process transport ---------------------------------------
-    def payload(self) -> list[tuple[int, str, int, int, int, str]]:
+    def payload(self) -> list[tuple[int, str, int, int, str]]:
         """Picklable flat form of the recorded intents."""
-        return [(i.rank, i.array, i.start, i.stop, i.epoch, i.stack)
+        return [(i.rank, i.array, i.start, i.stop, i.stack)
                 for i in self.intents]
 
 
 def intents_from_payload(
-        payload: Iterable[tuple[int, str, int, int, int, str]]
+        payload: Iterable[tuple[int, str, int, int, str]]
 ) -> list[WriteIntent]:
     """Inverse of :meth:`WriteIntentTracker.payload`."""
     return [WriteIntent(*row) for row in payload]
@@ -188,49 +170,20 @@ def intents_from_payload(
 
 def find_races(intents: Iterable[WriteIntent],
                max_findings: int = 20) -> list[RaceFinding]:
-    """Overlapping same-epoch writes from different ranks, across all
-    ranks' merged intent logs."""
-    groups: dict[tuple[str, int], list[WriteIntent]] = {}
+    """Overlapping writes from different ranks, across all ranks' merged
+    intent logs."""
+    groups: dict[str, list[WriteIntent]] = {}
     for intent in intents:
-        groups.setdefault((intent.array, intent.epoch), []).append(intent)
+        groups.setdefault(intent.array, []).append(intent)
     findings: list[RaceFinding] = []
-    for (array, epoch), group in sorted(groups.items()):
+    for array, group in sorted(groups.items()):
         group.sort(key=lambda i: (i.start, i.stop, i.rank))
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 if b.start >= a.stop:
                     break  # sorted by start: no later entry overlaps a
                 if a.rank != b.rank:
-                    findings.append(RaceFinding(array=array, epoch=epoch,
-                                                a=a, b=b))
+                    findings.append(RaceFinding(array=array, a=a, b=b))
                     if len(findings) >= max_findings:
                         return findings
     return findings
-
-
-class TrackedArray(np.ndarray):
-    """ndarray view that reports writes to a :class:`WriteIntentTracker`.
-
-    Created only via :func:`tracked_view`; views *derived* from a tracked
-    array deliberately drop the tracker (see module docstring).
-    """
-
-    def __array_finalize__(self, obj: Any) -> None:
-        self._repro_tracker = None
-        self._repro_name = None
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        tracker = self._repro_tracker
-        if tracker is not None:
-            tracker.record_write(self._repro_name, self.shape, key)
-        np.ndarray.__setitem__(self, key, value)
-
-
-def tracked_view(arr: np.ndarray, name: str,
-                 tracker: WriteIntentTracker) -> TrackedArray:
-    """Wrap ``arr`` (zero-copy) so writes through the returned view are
-    recorded under ``name``."""
-    view = arr.view(TrackedArray)
-    view._repro_tracker = tracker
-    view._repro_name = name
-    return view

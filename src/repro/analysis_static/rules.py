@@ -27,10 +27,9 @@ NUMERIC_DIRS = frozenset({
 #: Directories holding the energy/Born kernels (dtype-drift sensitive).
 KERNEL_DIRS = frozenset({"core", "surface", "plan"})
 
-#: The only files allowed to implement cross-rank reductions directly.
+#: The only file allowed to implement cross-rank reductions directly.
 REDUCTION_HOME_FILES = (
     "parallel/simmpi/collectives.py",
-    "parallel/procpool/backend.py",
 )
 
 #: The only files in a wall-clock-restricted role allowed to read the
@@ -86,10 +85,10 @@ RULES: dict[str, Rule] = {r.id: r for r in (
         title="cross-rank reduction outside the collective modules",
         roles=frozenset({"parallel"}),
         hint=("rank-order reductions live in "
-              "parallel/simmpi/collectives.py (reduce_values) and "
-              "parallel/procpool/backend.py; route this through the "
-              "backend's allreduce/reduce so every substrate shares one "
-              "reduction order"),
+              "parallel/simmpi/collectives.py (reduce_values); real "
+              "substrates run repro.serve.sliced.evaluate_ranges, whose "
+              "reductions replay the serial order -- route this through "
+              "one of those instead of summing partials by hand"),
     ),
     Rule(
         id="REP003",
@@ -108,8 +107,8 @@ RULES: dict[str, Rule] = {r.id: r for r in (
         title="raw multiprocessing/shared_memory use outside procpool",
         roles=frozenset({"procpool"}),
         hint=("OS-process and shared-memory plumbing is confined to "
-              "parallel/procpool/ (SharedArrayBundle, ScratchBuffer, "
-              "ProcessBackend); build on those abstractions instead"),
+              "parallel/procpool/ (PersistentWorkerPool, "
+              "SharedArrayBundle); build on those abstractions instead"),
         invert_roles=True,
     ),
     Rule(
@@ -214,8 +213,8 @@ def roles_for(path: str, source: str) -> frozenset[str]:
 
 
 def is_reduction_home(path: str) -> bool:
-    """Whether ``path`` is one of the two files allowed to spell out
-    rank-order reductions (REP002 exemption)."""
+    """Whether ``path`` is the file allowed to spell out rank-order
+    reductions (REP002 exemption)."""
     posix = PurePosixPath(path).as_posix()
     return any(posix.endswith(home) for home in REDUCTION_HOME_FILES)
 

@@ -21,7 +21,7 @@ execution; this pass checks all paths of every analysed function:
 
 Multisets (not ordered sequences) are compared so that a callee whose
 internal emission order is unknown does not fabricate divergence.
-Collective *implementation* modules (procpool backend/pool, simmpi, or
+Collective *implementation* modules (the procpool pool, simmpi, or
 ``# repro-verify: policy=collective-home``) are exempt: their bodies
 are rank-dependent by construction.
 """

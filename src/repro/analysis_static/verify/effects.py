@@ -60,9 +60,8 @@ COLLECTIVE_ATTRS = frozenset({"allreduce", "allgather", "reduce",
 #: Untyped receivers assumed to be an execution backend / rank context.
 BACKENDISH_NAMES = frozenset({"backend", "ctx", "comm", "world"})
 
-_SHM_CLASS_NAMES = frozenset({"SharedArrayBundle", "ScratchBuffer"})
+_SHM_CLASS_NAMES = frozenset({"SharedArrayBundle"})
 _SHARED_MEMORY_EXTERNAL = "multiprocessing.shared_memory.SharedMemory"
-_SHM_BUFFER_ATTRS = frozenset({"lengths", "slots", "buf"})
 
 
 @dataclass(frozen=True)
@@ -379,15 +378,10 @@ class EffectAnalysis:
         if isinstance(base, ast.Name):
             return base.id in view_names
         if isinstance(base, ast.Attribute):
-            # shm.buf[...] on a raw SharedMemory, or scratch.lengths[...] /
-            # scratch.slots[...] on a typed ScratchBuffer-like receiver.
-            if base.attr not in _SHM_BUFFER_ATTRS:
-                return False
+            # shm.buf[...] on a raw SharedMemory.
             owner = base.value
-            if isinstance(owner, ast.Name) and owner.id in raw_names:
-                return True
-            typ = self.program.type_of_receiver(fn, owner)
-            return typ is not None and typ.split(".")[-1] in _SHM_CLASS_NAMES
+            return (base.attr == "buf" and isinstance(owner, ast.Name)
+                    and owner.id in raw_names)
         if isinstance(base, ast.Call):
             return self._is_view_call(fn, base)
         return False

@@ -44,7 +44,6 @@ PURE_MODULE_SUFFIXES: tuple[str, ...] = (
 #: Module-path suffixes that *implement* collectives (their bodies are
 #: naturally rank-dependent) and are exempt from collective-matching.
 COLLECTIVE_HOME_SUFFIXES: tuple[str, ...] = (
-    "parallel/procpool/backend.py",
     "parallel/procpool/pool.py",
 )
 COLLECTIVE_HOME_PARTS: tuple[str, ...] = ("simmpi",)

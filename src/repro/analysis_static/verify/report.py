@@ -59,7 +59,7 @@ CHECKS: dict[str, Check] = {
             "RV201",
             "shm-missing-close",
             "shared-memory attach without a paired close",
-            "every non-pinned attach must close on all paths, or hand the "
+            "every attach must close on all paths, or hand the "
             "segment to an owner that does",
         ),
         Check(

@@ -8,13 +8,13 @@ The protocol (docs/ANALYSIS.md):
                                    mapper   owner only
 
 Per function we track local bindings that provably hold a segment --
-``SharedArrayBundle.create/attach``, ``ScratchBuffer.create/attach``,
-raw ``SharedMemory(...)`` constructions, and calls to helpers whose
-return annotation is ``SharedMemory`` -- then check the event order of
+``SharedArrayBundle.create/attach``, raw ``SharedMemory(...)``
+constructions, and calls to helpers whose return annotation is
+``SharedMemory`` -- then check the event order of
 ``close``/``unlink``/use sites over a linear (source-order)
 approximation of control flow:
 
-* RV201  attach (unpinned) or create with no close/handoff on any path
+* RV201  attach or create with no close/handoff on any path
 * RV202  segment used after its close
 * RV203  unlink issued on an attach-side binding
 * RV204  more than one lexical unlink site for one owned binding
@@ -27,9 +27,7 @@ approximation of control flow:
 Escape analysis discharges local obligations: a binding that is
 returned, yielded, stored into an attribute/container, or passed to a
 callee becomes that owner's responsibility (RV206 picks up the
-attribute case).  Pinned attaches (``pin=True``, the process-lifetime
-mapping) are exempt from RV201 by design -- the OS reclaims the mapping
-at process death.
+attribute case).
 """
 
 from __future__ import annotations
@@ -42,9 +40,7 @@ from .program import ClassInfo, FunctionInfo, Program, receiver_text
 from .report import CheckContext
 
 _SHARED_MEMORY_EXTERNAL = "multiprocessing.shared_memory.SharedMemory"
-_SHM_CLASS_NAMES = frozenset({"SharedArrayBundle", "ScratchBuffer"})
-#: ScratchBuffer.attach always pins (workers keep it mapped for life).
-_ALWAYS_PINNED_ATTACH_CLASSES = frozenset({"ScratchBuffer"})
+_SHM_CLASS_NAMES = frozenset({"SharedArrayBundle"})
 
 
 def _is_shm_like_class(cinfo: ClassInfo) -> bool:
@@ -57,7 +53,6 @@ def _is_shm_like_class(cinfo: ClassInfo) -> bool:
 class _Binding:
     name: str
     kind: str  # "create" | "attach"
-    pinned: bool
     line: int
     col: int
     close_pos: int | None = None
@@ -80,55 +75,25 @@ class TypestateChecker:
     # ------------------------------------------------------------------
     # Binding classification
     # ------------------------------------------------------------------
-    def classify_binding(
-        self, fn: FunctionInfo, call: ast.Call
-    ) -> tuple[str, bool] | None:
-        """(kind, pinned) if ``call`` yields a shared-memory segment."""
+    def classify_binding(self, fn: FunctionInfo, call: ast.Call) -> str | None:
+        """"create" or "attach" if ``call`` yields a shared-memory segment."""
         prog = self.program
         ref = prog.resolve_call(fn, call)
         if ref.kind == "external" and ref.target == _SHARED_MEMORY_EXTERNAL:
-            return ("create", False) if shared_memory_creates(call) else ("attach", False)
+            return "create" if shared_memory_creates(call) else "attach"
         if ref.kind == "function":
             callee = prog.functions[ref.target]
             if callee.cls is not None:
                 cinfo = prog.classes.get(callee.cls)
-                if cinfo is not None and _is_shm_like_class(cinfo):
-                    if callee.name == "create":
-                        return ("create", False)
-                    if callee.name == "attach":
-                        return ("attach", self._attach_pinned(cinfo, callee, call))
+                if (cinfo is not None and _is_shm_like_class(cinfo)
+                        and callee.name in ("create", "attach")):
+                    return callee.name
                 return None
             # Helper returning a raw segment, e.g. _attach_untracked().
             returns = ast.dump(callee.node.returns) if callee.node.returns else ""
             if "SharedMemory" in returns:
-                return ("attach", False)
+                return "attach"
         return None
-
-    def _attach_pinned(
-        self, cinfo: ClassInfo, callee: FunctionInfo, call: ast.Call
-    ) -> bool:
-        if cinfo.name in _ALWAYS_PINNED_ATTACH_CLASSES:
-            return True
-        for kw in call.keywords:
-            if kw.arg == "pin":
-                return not (
-                    isinstance(kw.value, ast.Constant) and kw.value.value is False
-                )
-        # Fall back to the callee's own default for ``pin``.
-        args = callee.node.args
-        names = [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
-        if "pin" in names:
-            kw_names = [a.arg for a in args.kwonlyargs]
-            if "pin" in kw_names:
-                default = args.kw_defaults[kw_names.index("pin")]
-            else:
-                pos = [*args.posonlyargs, *args.args]
-                idx = [a.arg for a in pos].index("pin") - (len(pos) - len(args.defaults))
-                default = args.defaults[idx] if 0 <= idx < len(args.defaults) else None
-            return bool(
-                isinstance(default, ast.Constant) and default.value is True
-            )
-        return False
 
     # ------------------------------------------------------------------
     # Per-function protocol check
@@ -149,12 +114,11 @@ class TypestateChecker:
                 value = node.value
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
                 if names and isinstance(value, ast.Call):
-                    cls = self.classify_binding(fn, value)
-                    if cls is not None:
-                        kind, pinned = cls
+                    kind = self.classify_binding(fn, value)
+                    if kind is not None:
                         for nm in names:
                             bindings[nm] = _Binding(
-                                name=nm, kind=kind, pinned=pinned,
+                                name=nm, kind=kind,
                                 line=value.lineno, col=value.col_offset + 1)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 attr = node.func.attr
@@ -187,8 +151,7 @@ class TypestateChecker:
                     f"{b.name!r} unlinked at {len(b.unlink_sites)} sites "
                     f"(lines {', '.join(str(ln) for _, ln in b.unlink_sites)})")
             if (
-                not b.pinned
-                and b.close_pos is None
+                b.close_pos is None
                 and not b.escaped
                 and not (b.kind == "create" and b.unlink_sites)
             ):

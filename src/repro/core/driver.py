@@ -81,6 +81,27 @@ class RunProfile:
 
 
 @dataclass
+class BackendRunResult:
+    """Outcome of one *measured* (wall-clock) pipeline execution
+    (:meth:`PolarizationEnergyCalculator.compute`).
+
+    Unlike :class:`~repro.parallel.hybrid.ParallelRunResult` the times are
+    real seconds observed on this machine, not modelled ones:
+    ``setup_seconds`` covers surface, trees, plans and fleet start,
+    ``wall_seconds`` the sliced request itself.  ``counters`` are the two
+    plans' work counters.
+    """
+
+    backend: str
+    nworkers: int
+    energy: float
+    born_radii: np.ndarray
+    counters: WorkCounters
+    setup_seconds: float
+    wall_seconds: float
+
+
+@dataclass
 class PolarizationEnergyCalculator:
     """Computes GB polarization energy with the paper's octree algorithm.
 
@@ -184,8 +205,8 @@ class PolarizationEnergyCalculator:
 
     def plans(self):
         """Both default-configuration plans as a
-        :class:`~repro.plan.schema.PlanSet` (what the process-parallel
-        backend publishes to its workers)."""
+        :class:`~repro.plan.schema.PlanSet` (what a process fleet
+        publishes to its workers)."""
         from ..plan import PlanSet
         return PlanSet(born=self.born_plan(), epol=self.epol_plan())
 
@@ -279,77 +300,61 @@ class PolarizationEnergyCalculator:
     # ------------------------------------------------------------------
     # execution backends
     # ------------------------------------------------------------------
-    def compute(self, backend: str | object = "serial", *, workers: int = 1,
-                trace=None):
-        """Execute the pipeline on an execution backend, with wall-clock
-        phase timing.
+    def compute(self, backend: str = "serial", *,
+                workers: int = 1) -> BackendRunResult:
+        """Execute the pipeline as one sliced request on a serving fleet,
+        with wall-clock timing.
 
-        Parameters
-        ----------
-        backend:
-            ``"serial"`` runs the rank program inline on
-            :class:`~repro.parallel.procpool.backend.SerialBackend` (bit
-            identical to :meth:`run`, but timed); ``"real"`` runs it across
-            ``workers`` OS processes with the molecule in shared memory
-            (:func:`repro.parallel.procpool.runner.run_real`).  Any object
-            satisfying the
-            :class:`~repro.parallel.procpool.backend.ExecutionBackend`
-            protocol is also accepted and driven inline as one rank of its
-            collective group.
-        workers:
-            Process count for the ``"real"`` backend.
-        trace:
-            Optional :class:`~repro.runtime.trace.Trace` receiving phase
-            and collective events.
-
-        Returns
-        -------
-        :class:`repro.parallel.procpool.runner.BackendRunResult`
-            with measured (not modelled) seconds.
+        ``"serial"`` runs it on an :class:`~repro.serve.fleet.InlineFleet`
+        of width 1, ``"real"`` on a one-shot
+        :class:`~repro.serve.fleet.ProcessFleet` of ``workers`` OS
+        processes with the molecule and plans in shared memory.  Both run
+        the one row-range pipeline
+        (:func:`~repro.serve.sliced.evaluate_ranges`), whose reductions
+        replay the serial scatter and fold, so the energy and radii equal
+        :meth:`run`'s bit for bit at every ``workers``.
         """
         import time as _time
 
-        from ..parallel.procpool.backend import SerialBackend
-        from ..parallel.procpool.runner import (BackendRunResult,
-                                                rank_program, run_real)
-        from ..runtime.trace import Trace
+        from ..serve.fleet import InlineFleet, ProcessFleet
+        from ..serve.sliced import epol_nbins
 
-        if backend == "real":
-            return run_real(self, workers, trace=trace)
         if backend == "serial":
             if workers != 1:
                 raise ValueError("the serial backend has exactly 1 worker")
-            backend = SerialBackend()
-        elif isinstance(backend, str):
+        elif backend != "real":
             raise ValueError(f"unknown backend {backend!r}")
-
-        trace = trace if trace is not None else Trace()
         t0 = _time.perf_counter()
-        atoms = self.atom_tree()
-        quad = self.quad_tree()
-        setup_seconds = _time.perf_counter() - t0
-        t0 = _time.perf_counter()
-        report = rank_program(backend, atoms, quad, self.params,
-                              max_radius=2.0 * self.molecule.bounding_radius)
-        wall_seconds = _time.perf_counter() - t0
-        t = 0.0
-        for kind, detail in report.events:
-            if kind == "phase":
-                t += detail.get("seconds", 0.0)
-            trace.record(t, kind, report.rank, detail)
-        pair_sum = report.pair_sum  # type: ignore[attr-defined]
-        born_sorted = report.born_sorted  # type: ignore[attr-defined]
-        if pair_sum is None:
-            raise ValueError("compute() must be driven from the backend's "
-                             "root rank (reduce returned None)")
+        plans = self.plans()
+        fleet: InlineFleet | ProcessFleet = (
+            InlineFleet(1) if backend == "serial" else ProcessFleet(workers))
+        try:
+            setup_seconds = _time.perf_counter() - t0
+            t0 = _time.perf_counter()
+            born_sorted, energy = self._run_sliced(fleet)
+            wall_seconds = _time.perf_counter() - t0
+        finally:
+            fleet.shutdown()
+        counters = plans.born.counters()
+        counters.add(plans.epol.counters(
+            nbins=epol_nbins(born_sorted, self.params.eps_epol)))
         return BackendRunResult(
-            backend="serial", nworkers=backend.size, energy=epol_from_pair_sum(
-                pair_sum, epsilon_solvent=self.params.epsilon_solvent),
-            born_radii=atoms.to_original_order(born_sorted),
-            wall_seconds=wall_seconds, setup_seconds=setup_seconds,
-            phase_seconds=dict(report.phase_seconds),
-            rank_seconds=[report.span_seconds],
-            counters=report.counters.copy(), trace=trace)
+            backend=backend, nworkers=workers, energy=energy,
+            born_radii=self.atom_tree().to_original_order(born_sorted),
+            counters=counters, setup_seconds=setup_seconds,
+            wall_seconds=wall_seconds)
+
+    def _run_sliced(self, fleet) -> tuple[np.ndarray, float]:
+        """This calculator's default configuration as one sliced request
+        on ``fleet``: the sorted Born radii and the energy."""
+        from ..serve.fleet import EpsConfig
+        from ..serve.registry import RegistryEntry, content_key
+
+        entry = RegistryEntry(key=content_key(self.molecule, self.params),
+                              molecule=self.molecule, calc=self)
+        res = fleet.run_sliced(0, entry, EpsConfig.resolve(self.params))
+        assert res.born_sorted is not None
+        return res.born_sorted, res.energy
 
     # ------------------------------------------------------------------
     # validation

@@ -12,6 +12,16 @@ These kernels are the exact near-field building block shared by the naive
 reference and the octree algorithm's leaf-leaf case.  They are blocked so
 the pairwise distance matrix never exceeds a few MB regardless of input
 size -- the cache-conscious habit the HPC guides insist on.
+
+Coincidence guard.  The centred GEMM expansion of :func:`pair_distance_sq`
+resolves R^2 only to ~16 ulps of ``|t|^2 + |s|^2``, so a target sitting
+on a quadrature point leaves a rounding residual of either sign, not 0.
+A block whose R^2 min is at or below ``max(R2_GUARD, R2_ULPS *
+(max|t|^2 + max|s|^2))`` therefore recomputes R^2 from direct
+differences, where a coincident pair gives exactly 0, and drops the
+non-finite terms.  The plan executor's Born near field applies the same
+rule (:mod:`repro.plan.executor`).  Real surfaces stay far above the
+floor, so they never take this branch.
 """
 
 from __future__ import annotations
@@ -24,6 +34,12 @@ from ..runtime.instrument import WorkCounters
 #: Pairwise block edge: 256 targets x 2048 sources of float64 stays ~4 MB.
 TARGET_BLOCK = 256
 SOURCE_BLOCK = 2048
+
+#: Coincidence guard floor (module docstring): a block is guarded when its
+#: expanded R^2 min is at or below
+#: ``max(R2_GUARD, R2_ULPS * (max|t|^2 + max|s|^2))``.
+R2_GUARD = 1e-24
+R2_ULPS = 8.0 * float(np.finfo(np.float64).eps)
 
 
 def pair_distance_sq(targets: np.ndarray, sources: np.ndarray
@@ -47,6 +63,20 @@ def pair_distance_sq(targets: np.ndarray, sources: np.ndarray
           - 2.0 * (t @ s.T))
     np.maximum(r2, 0.0, out=r2)
     return r2, t, s
+
+
+def _guarded(r2: np.ndarray, t_c: np.ndarray, s_c: np.ndarray) -> bool:
+    """Whether a :func:`pair_distance_sq` block may hold a coincident pair
+    (module docstring)."""
+    floor = max(R2_GUARD, R2_ULPS * (float((t_c * t_c).sum(axis=1).max())
+                                     + float((s_c * s_c).sum(axis=1).max())))
+    return float(r2.min()) <= floor
+
+
+def _direct_r2(t_c: np.ndarray, s_c: np.ndarray) -> np.ndarray:
+    """``r2[i, j] = |t_c[i] - s_c[j]|^2`` from coordinate differences."""
+    d = t_c[:, None, :] - s_c[None, :, :]
+    return (d * d).sum(axis=2)
 
 
 def surface_integral(points: np.ndarray, normals: np.ndarray,
@@ -92,12 +122,12 @@ def surface_integral(points: np.ndarray, normals: np.ndarray,
             # (p_q - p_a) . wn_q = s_q . wn_q - t_a . wn_q (GEMM form).
             wn_b = wn[ss:se]
             num = (s_c * wn_b).sum(axis=1)[None, :] - t_c @ wn_b.T
-            with np.errstate(divide="ignore", invalid="ignore"):
+            if _guarded(r2, t_c, s_c):
+                r2 = _direct_r2(t_c, s_c)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 term = num / r2 ** half
             # A target coincident with a quadrature point contributes an
-            # undefined term; drop it (the octree path never evaluates it
-            # either because such a pair is always a leaf self-pair of
-            # measure zero).
+            # undefined term; drop it, as the plan executor does.
             np.nan_to_num(term, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
             acc += term.sum(axis=1)
         out[ts:te] = acc
@@ -153,17 +183,14 @@ def pairwise_r6_exact(atom_pos: np.ndarray, q_pos: np.ndarray,
     r2, t_c, s_c = pair_distance_sq(atom_pos, q_pos)
     wn = q_weights[:, None] * q_normals
     num = (s_c * wn).sum(axis=1)[None, :] - t_c @ wn.T
-    if r2.min() > 1e-24:
+    if not _guarded(r2, t_c, s_c):
         term = num / (r2 * r2 * r2) if power == 6 else num / (r2 * r2)
-    elif power == 4:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = num / (r2 * r2)
-        np.nan_to_num(term, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     else:
         # Coincident atom/q-point pairs contribute undefined terms; drop
-        # them (a measure-zero event the naive path drops identically).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = num / (r2 * r2 * r2)
+        # them (the naive path drops them identically).
+        r2 = _direct_r2(t_c, s_c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            term = num / (r2 * r2 * r2) if power == 6 else num / (r2 * r2)
         np.nan_to_num(term, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
     if counters is not None:
         counters.exact_pairs += atom_pos.shape[0] * q_pos.shape[0]

@@ -7,18 +7,25 @@ Three variants, as in Table II:
 * ``OCT_MPI``       -- ``P`` single-threaded ranks (12 per node);
 * ``OCT_MPI+CILK``  -- hybrid: one rank per socket, 6 threads each.
 
+The simulated program models time only: every rank schedules its rows'
+work counters through the work-stealing and collective cost models, and
+the collectives carry size-only payloads (the paper's Allreduce,
+Allgather and Reduce, with their real byte counts).  The numbers come
+from a real execution, chosen by the numerics mode.
+
 Numerics modes
 --------------
-``numerics="full"`` executes every rank's real share of the NumPy kernels
-inside the simulated engine and moves real payloads through the simulated
-collectives -- the ground-truth mode the invariance tests run.
+``numerics="full"`` runs the one row-range pipeline
+(:func:`~repro.serve.sliced.evaluate_ranges`) sliced ``P`` ways on an
+:class:`~repro.serve.fleet.InlineFleet`, and cuts the ranks' rows the
+way that fleet does (exact per-row interaction counts) -- the
+ground-truth mode the invariance tests run.
 
 ``numerics="cached"`` (default) exploits a property the tests prove: with
 node-based work division, per-leaf work profiles and all numeric results
 are independent of the partition.  The pipeline is executed once
 (:meth:`~repro.core.driver.PolarizationEnergyCalculator.profile`), and
-layout studies then schedule the cached per-leaf costs through the same
-work-stealing and collective cost models with size-only payloads.  A
+layout studies cut cost-even segments of the cached per-leaf costs.  A
 144-core sweep over a dozen layouts costs one real execution.
 """
 
@@ -29,12 +36,8 @@ from typing import Any, Generator
 
 import numpy as np
 
-from ..core.born import BornPartial, push_integrals_to_atoms
-from ..core.driver import PolarizationEnergyCalculator, RunProfile
-from ..core.energy import EnergyContext, epol_from_pair_sum
-from ..octree.partition import (segment_by_weight, segment_leaf_bounds,
-                                segment_range)
-from ..plan import execute_born_plan, execute_epol_plan
+from ..core.driver import PolarizationEnergyCalculator
+from ..octree.partition import segment_by_weight, segment_range
 from ..runtime.instrument import WorkCounters
 from .cilk.scheduler import simulate_work_stealing
 from .cost import CostModel, MemoryModel
@@ -171,12 +174,9 @@ class _Prepared:
     cost: CostModel
     cache_factor: float
     build_seconds: float
-    q_bounds: list[tuple[int, int]]
-    v_bounds: list[tuple[int, int]]
     atom_ranges: list[tuple[int, int]]
     n_atoms: int
     n_nodes: int
-    max_radius: float
 
 
 def _prepare(calc: PolarizationEnergyCalculator, layout: RankLayout,
@@ -198,12 +198,9 @@ def _prepare(calc: PolarizationEnergyCalculator, layout: RankLayout,
         cost=cost,
         cache_factor=cache_factor,
         build_seconds=build_seconds,
-        q_bounds=segment_leaf_bounds(quad.tree, P, balance="points"),
-        v_bounds=segment_leaf_bounds(atoms.tree, P, balance="points"),
         atom_ranges=segment_range(atoms.tree.npoints, P),
         n_atoms=atoms.tree.npoints,
         n_nodes=atoms.tree.nnodes,
-        max_radius=2.0 * calc.molecule.bounding_radius,
     )
 
 
@@ -214,12 +211,17 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
     """Run OCT_MPI (``threads_per_rank == 1``) or OCT_MPI+CILK (> 1) on the
     simulated cluster, following Fig. 4 step by step.
 
-    ``engine="real"`` executes the same rank program on
-    :mod:`repro.parallel.procpool` -- ``layout.nranks`` actual OS processes
-    on this machine -- and reports *measured* wall-clock seconds in both
-    ``sim_seconds`` and ``wall_seconds``.  Threads-per-rank is not
+    The simulated program schedules per-row work counters through the
+    work-stealing and collective cost models with size-only payloads;
+    the energy and radii come from a real execution (see the module
+    docstring for the two numerics modes).
+
+    ``engine="real"`` runs :meth:`~repro.core.driver.
+    PolarizationEnergyCalculator.compute` on ``layout.nranks`` actual OS
+    processes on this machine and reports *measured* wall-clock seconds
+    in both ``sim_seconds`` and ``wall_seconds``.  Threads-per-rank is not
     meaningful there (one process per rank), and modelled quantities
-    (comm stats, steals, jitter) are absent.
+    (phase breakdown, comm stats, steals, jitter) are absent.
     """
     if numerics not in ("cached", "full"):
         raise ValueError("numerics must be 'cached' or 'full'")
@@ -235,14 +237,12 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
         return ParallelRunResult(
             variant="OCT_PROC", layout=layout, energy=res.energy,
             born_radii=res.born_radii, sim_seconds=res.wall_seconds,
-            phase_seconds=dict(res.phase_seconds), counters=res.counters,
+            phase_seconds={}, counters=res.counters,
             comm=None, data_bytes=data_bytes,
             node_bytes=config.memory_model.node_bytes(
                 data_bytes, layout.ranks_per_node),
             steals=0, wall_seconds=res.wall_seconds)
     atoms = calc.atom_tree()
-    quad = calc.quad_tree()
-    params = calc.params
     p = layout.threads_per_rank
     P = layout.nranks
     hybrid = p > 1
@@ -261,24 +261,39 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
 
     prep = _prepare(calc, layout, config)
     cost = prep.cost
-    profile: RunProfile | None = calc.profile() if numerics == "cached" else None
-    plans = None
-    if profile is not None:
-        born_secs_all = np.array([cost.compute_seconds(c)
-                                  for c in profile.born_per_leaf])
-        energy_secs_all = np.array([cost.compute_seconds(c)
-                                    for c in profile.energy_per_leaf])
+
+    def seconds(rows: list[WorkCounters]) -> np.ndarray:
+        return np.array([cost.compute_seconds(c) for c in rows])
+
+    if numerics == "cached":
+        profile = calc.profile()
+        born_sorted, energy = profile.born_sorted, profile.energy
+        born_rows = profile.born_per_leaf
+        energy_rows = profile.energy_per_leaf
+        born_secs_all = seconds(born_rows)
+        energy_secs_all = seconds(energy_rows)
         # With profiled costs in hand, "divide the work as evenly as
-        # possible" (Fig. 4) means cost-even contiguous segments, not
-        # merely point-count-even ones.
-        prep.q_bounds = segment_by_weight(born_secs_all, P)
-        prep.v_bounds = segment_by_weight(energy_secs_all, P)
+        # possible" (Fig. 4) means cost-even contiguous segments.
+        q_bounds = segment_by_weight(born_secs_all, P)
+        v_bounds = segment_by_weight(energy_secs_all, P)
     else:
-        # Full numerics executes slices of the calculator's cached plans,
-        # divided by exact per-row pair counts -- the same bounds the real
-        # process backend cuts (rank_program), so sim and real agree.
+        # Full numerics: the one row-range pipeline, sliced P ways on an
+        # inline fleet (bit-identical to the serial driver at every P).
+        from ..serve.fleet import InlineFleet
+        from ..serve.sliced import epol_nbins
+        born_sorted, energy = calc._run_sliced(InlineFleet(P))
         plans = calc.plans()
-        prep.q_bounds = segment_by_weight(plans.born.row_pair_weights(), P)
+        nbins = epol_nbins(born_sorted, calc.params.eps_epol)
+        born_rows = plans.born.row_counters(0, plans.born.nrows)
+        energy_rows = plans.epol.row_counters(0, plans.epol.nrows,
+                                              nbins=nbins)
+        born_secs_all = seconds(born_rows)
+        energy_secs_all = seconds(energy_rows)
+        # The fleet's cut: contiguous rows with near-equal exact
+        # interaction counts (slice_bounds, before dropping empty ranges).
+        q_bounds = segment_by_weight(plans.born.row_pair_weights(), P)
+        v_bounds = segment_by_weight(
+            plans.epol.row_pair_weights(nbins=nbins), P)
 
     def program(ctx: RankContext) -> Generator[Any, Any, dict[str, Any]]:
         rank = ctx.rank
@@ -303,21 +318,11 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
             phase_t["build"] = prep.build_seconds
 
         # -- Step 2: Born integrals over this rank's Q-leaf segment.
-        qs, qe = prep.q_bounds[rank]
-        if profile is None:
-            per_leaf: list[WorkCounters] = []
-            partial = execute_born_plan(plans.born, atoms, quad,
-                                        row_range=(qs, qe),
-                                        per_leaf=per_leaf)
-            counters.add(partial.counters)
-            leaf_secs = np.array([cost.compute_seconds(c) for c in per_leaf])
-        else:
-            partial = None
-            for c in profile.born_per_leaf[qs:qe]:
-                counters.add(c)
-            leaf_secs = born_secs_all[qs:qe]
+        qs, qe = q_bounds[rank]
+        for c in born_rows[qs:qe]:
+            counters.add(c)
         dt, st = _thread_phase_seconds(
-            leaf_secs, p, cost, cache_factor=prep.cache_factor,
+            born_secs_all[qs:qe], p, cost, cache_factor=prep.cache_factor,
             seed=_derive_seed(config.seed, rank, PHASE_BORN), hybrid=hybrid)
         steals += st
         dt = jitter(dt, factor=HYBRID_JITTER_FACTOR if hybrid else 1.0)
@@ -325,13 +330,8 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
         ctx.advance(dt)
 
         # -- Step 3: Allreduce the (s_node, s_atom) partials.
-        payload_bytes = 8 * (prep.n_nodes + prep.n_atoms)
         t0 = ctx.clock.now
-        if partial is not None:
-            combined_arr = yield ctx.allreduce(
-                np.concatenate([partial.s_node, partial.s_atom]))
-        else:
-            combined_arr = yield ctx.allreduce(None, nbytes=payload_bytes)
+        yield ctx.allreduce(None, nbytes=8 * (prep.n_nodes + prep.n_atoms))
         phase_t["born_comm"] = ctx.clock.now - t0
 
         # -- Step 4: push integrals for this rank's atom segment.
@@ -340,53 +340,19 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
         dt = jitter(cost.compute_seconds(push_work) / p)
         phase_t["push"] = dt
         ctx.advance(dt)
-        lo, hi = prep.atom_ranges[rank]
-        if partial is not None:
-            combined = BornPartial(combined_arr[:prep.n_nodes],
-                                   combined_arr[prep.n_nodes:], WorkCounters())
-            radii_sorted = push_integrals_to_atoms(
-                atoms, combined, max_radius=prep.max_radius,
-                atom_range=(lo, hi))
-            chunk = radii_sorted[lo:hi]
-        else:
-            chunk = None
 
         # -- Step 5: Allgather the Born-radius segments.
+        lo, hi = prep.atom_ranges[rank]
         t0 = ctx.clock.now
-        chunk_bytes = 8 * max(hi - lo, 1)
-        if partial is not None:
-            chunks = yield ctx.allgather(chunk)
-            born_sorted = np.concatenate(chunks)
-        else:
-            yield ctx.allgather(None, nbytes=chunk_bytes)
-            born_sorted = None
+        yield ctx.allgather(None, nbytes=8 * max(hi - lo, 1))
         phase_t["radii_comm"] = ctx.clock.now - t0
 
         # -- Step 6: energy over this rank's atoms-leaf segment.
-        if partial is not None:
-            ectx = EnergyContext.build(atoms, born_sorted, params.eps_epol)
-            # Same exact-count division rank_program cuts: a pure function
-            # of the shared plan and the binning width, so every rank
-            # (and the real backend) derives identical bounds.
-            vs, ve = segment_by_weight(
-                plans.epol.row_pair_weights(nbins=ectx.binning.nbins),
-                P)[rank]
-            per_leaf_e: list[WorkCounters] = []
-            epartial = execute_epol_plan(plans.epol, ectx,
-                                         row_range=(vs, ve),
-                                         per_leaf=per_leaf_e)
-            counters.add(epartial.counters)
-            leaf_secs_e = np.array([cost.compute_seconds(c)
-                                    for c in per_leaf_e])
-            pair_sum = epartial.pair_sum
-        else:
-            vs, ve = prep.v_bounds[rank]
-            for c in profile.energy_per_leaf[vs:ve]:
-                counters.add(c)
-            leaf_secs_e = energy_secs_all[vs:ve]
-            pair_sum = None
+        vs, ve = v_bounds[rank]
+        for c in energy_rows[vs:ve]:
+            counters.add(c)
         dt, st = _thread_phase_seconds(
-            leaf_secs_e, p, cost, cache_factor=prep.cache_factor,
+            energy_secs_all[vs:ve], p, cost, cache_factor=prep.cache_factor,
             seed=_derive_seed(config.seed, rank, PHASE_ENERGY), hybrid=hybrid)
         steals += st
         dt = jitter(dt, factor=HYBRID_JITTER_FACTOR if hybrid else 1.0)
@@ -395,37 +361,22 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
 
         # -- Step 7: master accumulates the partial energies.
         t0 = ctx.clock.now
-        total_pair_sum = yield ctx.reduce(pair_sum, root=0, nbytes=8)
+        yield ctx.reduce(None, root=0, nbytes=8)
         phase_t["energy_comm"] = ctx.clock.now - t0
 
-        return {
-            "pair_sum": total_pair_sum,
-            "born_sorted": born_sorted if rank == 0 else None,
-            "steals": steals,
-            "counters": counters,
-            "phase_seconds": phase_t,
-        }
+        return {"steals": steals, "counters": counters,
+                "phase_seconds": phase_t}
 
-    engine = SimMPI(layout=layout, network=config.network)
-    run = engine.run(program)
-
-    master = run.returns[0]
-    if profile is None:
-        energy = epol_from_pair_sum(master["pair_sum"],
-                                    epsilon_solvent=params.epsilon_solvent)
-        born_radii = atoms.to_original_order(master["born_sorted"])
-    else:
-        energy = profile.energy
-        born_radii = atoms.to_original_order(profile.born_sorted)
-    counters = WorkCounters.merged([r["counters"] for r in run.returns])
+    run = SimMPI(layout=layout, network=config.network).run(program)
     # Phase breakdown reported for the critical (slowest-finishing) rank.
     slowest = int(np.argmax(run.finish_times))
     return ParallelRunResult(
-        variant=variant, layout=layout, energy=energy, born_radii=born_radii,
+        variant=variant, layout=layout, energy=energy,
+        born_radii=atoms.to_original_order(born_sorted),
         sim_seconds=run.makespan,
         phase_seconds=run.returns[slowest]["phase_seconds"],
-        counters=counters, comm=run.stats, data_bytes=data_bytes,
-        node_bytes=node_bytes,
+        counters=WorkCounters.merged([r["counters"] for r in run.returns]),
+        comm=run.stats, data_bytes=data_bytes, node_bytes=node_bytes,
         steals=sum(r["steals"] for r in run.returns))
 
 

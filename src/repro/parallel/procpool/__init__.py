@@ -1,28 +1,20 @@
-"""Real shared-memory process-parallel execution backend.
+"""Real shared-memory process plumbing for the serving fleets.
 
-Where :mod:`repro.parallel.simmpi` *models* the paper's cluster, this
-package *measures*: the same Fig. 4 rank program runs across actual OS
-processes with the molecule published once in POSIX shared memory and
-collectives built from process-safe primitives.  See
-``docs/ALGORITHMS.md`` ("Simulated vs. real execution") for when each
-substrate is authoritative.
+Where :mod:`repro.parallel.simmpi` *models* the paper's cluster, the
+fleets in :mod:`repro.serve.fleet` *measure*: the one row-range pipeline
+runs across actual OS processes, with each molecule and its plans
+published once in POSIX shared memory.  This package holds the two
+primitives they build on -- a persistent worker pool and shared array
+bundles -- and is the only sanctioned home for raw ``multiprocessing``
+use (repro-lint REP004).  See ``docs/ALGORITHMS.md`` ("Simulated vs.
+real execution") for when each substrate is authoritative.
 """
 
-from .backend import ExecutionBackend, ProcessBackend, SerialBackend
 from .pool import PersistentWorkerPool, PoolError
-from .runner import (BackendRunResult, RankReport, rank_program, run_real)
-from .shm import ScratchBuffer, SharedArrayBundle
+from .shm import SharedArrayBundle
 
 __all__ = [
-    "BackendRunResult",
-    "ExecutionBackend",
     "PersistentWorkerPool",
     "PoolError",
-    "ProcessBackend",
-    "RankReport",
-    "ScratchBuffer",
-    "SerialBackend",
     "SharedArrayBundle",
-    "rank_program",
-    "run_real",
 ]

@@ -1,9 +1,7 @@
 """A warm, persistent worker pool over real OS processes.
 
-:func:`~repro.parallel.procpool.runner.run_real` forks a fresh pool for
-every pipeline execution -- the right shape for one measured run, and the
-wrong one for a serving workload where thousands of small requests must
-amortise process start-up, tree builds and plan publication.
+A serving workload of thousands of small requests must amortise process
+start-up, tree builds and plan publication, so
 :class:`PersistentWorkerPool` keeps ``P`` workers alive across requests:
 the parent pushes small picklable tasks down one queue, workers push
 results back up another, and molecule-sized state travels exclusively
@@ -34,7 +32,10 @@ from queue import Empty
 from typing import Any, Callable
 
 from ...analysis_static.model.annotations import protocol_event
-from .runner import START_METHOD_ENV
+
+#: Environment override for the multiprocessing start method ("fork",
+#: "spawn", "forkserver"); unset uses the platform default.
+START_METHOD_ENV = "REPRO_PROCPOOL_START"
 
 #: Seconds the parent waits in :meth:`PersistentWorkerPool.next_result`
 #: before declaring the pool wedged.
@@ -76,8 +77,8 @@ class PersistentWorkerPool:
         runs until it dequeues :data:`SHUTDOWN`.
     start_method:
         ``fork``/``spawn``/``forkserver``; defaults to the
-        ``REPRO_PROCPOOL_START`` environment override, then the platform
-        default (same contract as :func:`~.runner.run_real`).
+        :data:`START_METHOD_ENV` environment override, then the platform
+        default.
     """
 
     def __init__(self, nworkers: int, worker_loop: WorkerLoop, *,

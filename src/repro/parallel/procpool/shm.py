@@ -1,4 +1,4 @@
-"""Shared-memory array plumbing for the process-parallel backend.
+"""Shared-memory array plumbing for the process fleets.
 
 The paper's design replicates *data* and divides *work*: every process
 holds the full molecule and surface.  On one shared-memory node we can do
@@ -8,9 +8,7 @@ Nothing molecule-sized ever crosses a pipe.
 
 :class:`SharedArrayBundle` packs a named dict of float64 arrays into one
 block; its :attr:`layout` (name -> offset/shape) is the only thing pickled
-to workers.  :class:`ScratchBuffer` is the collective-exchange area used by
-:class:`~repro.parallel.procpool.backend.ProcessBackend`: one header slot
-and one payload slot per rank.
+to workers.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ...analysis_static.model.annotations import protocol_event
-from ...analysis_static.races import WriteIntentTracker, tracked_view
 from ...analysis_static.verify.annotations import declares_effects
 
 
@@ -48,14 +45,13 @@ def _reap_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 def _keep_mapped(shm: shared_memory.SharedMemory) -> None:
-    """Leave an attached segment mapped for the life of this process.
+    """Leave a segment mapped for the life of this process.
 
-    A worker hands NumPy views of the buffer to long-lived objects
-    (molecule arrays, reports), so ``close()`` -- including the one
-    ``__del__`` runs at interpreter shutdown -- would raise
+    Once a NumPy view of the buffer has escaped, ``close()`` -- including
+    the one ``__del__`` runs at interpreter shutdown -- would raise
     ``BufferError: cannot close exported pointers exist``.  The OS reclaims
-    the mapping at process death regardless, so the exit path simply
-    disarms ``close`` instead of chasing every exported view.
+    the mapping at process death regardless, so :meth:`SharedArrayBundle.
+    close` disarms ``close`` instead of chasing every exported view.
     """
     shm.close = lambda: None  # type: ignore[method-assign]
 
@@ -106,16 +102,10 @@ class SharedArrayBundle:
         self._owner = owner
         self._unlinked = False
         self._closed = False
-        self._tracker: WriteIntentTracker | None = None
         # Owners reap their segment even when nobody calls unlink() --
         # a fleet dropped mid-run must not leave /dev/shm litter.
         self._finalizer = (weakref.finalize(self, _reap_segment, shm)
                            if owner else None)
-
-    def enable_tracking(self, tracker: WriteIntentTracker) -> None:
-        """Arm the race detector: subsequent :meth:`view` results record
-        write intents against ``tracker`` (opt-in; plain views otherwise)."""
-        self._tracker = tracker
 
     # -- lifecycle -----------------------------------------------------
     @classmethod
@@ -144,20 +134,12 @@ class SharedArrayBundle:
 
     @classmethod
     @declares_effects("SHM_ATTACH")
-    def attach(cls, name: str, layout: dict[str, _ArraySpec], *,
-               pin: bool = True) -> "SharedArrayBundle":
-        """Map an existing block (worker side).
-
-        ``pin=True`` (the default, used by the one-shot pipeline workers)
-        disarms ``close`` so exported views stay valid for the process's
-        life.  Long-lived serving workers that cache and *evict* attached
-        molecules pass ``pin=False`` and close the mapping themselves once
-        their views are dropped.
-        """
-        shm = _attach_untracked(name)
-        if pin:
-            _keep_mapped(shm)
-        return cls(shm, layout, owner=False)
+    def attach(cls, name: str,
+               layout: dict[str, _ArraySpec]) -> "SharedArrayBundle":
+        """Map an existing block (worker side).  Workers cache and *evict*
+        attached molecules, so they close the mapping themselves once
+        their views are dropped (see :meth:`close`)."""
+        return cls(_attach_untracked(name), layout, owner=False)
 
     @property
     def name(self) -> str:
@@ -169,10 +151,7 @@ class SharedArrayBundle:
         count = int(np.prod(spec.shape, dtype=np.int64)) if spec.shape else 1
         flat = np.frombuffer(self._shm.buf, dtype=np.dtype(spec.dtype),
                              count=count, offset=spec.offset)
-        arr = flat.reshape(spec.shape)
-        if self._tracker is not None:
-            return tracked_view(arr, f"bundle:{key}", self._tracker)
-        return arr
+        return flat.reshape(spec.shape)
 
     @declares_effects("SHM_CLOSE")
     @protocol_event("shm", "close")
@@ -201,78 +180,3 @@ class SharedArrayBundle:
                 # A dying attacher's resource tracker can reap the segment
                 # first; the owner's unlink is then already satisfied.
                 pass
-
-
-class ScratchBuffer:
-    """Per-rank exchange slots backing the collectives.
-
-    Layout: ``int64[size]`` header (per-rank payload lengths) followed by
-    ``float64[size, slot_floats]`` payload slots.  Ranks only ever write
-    their own slot; barriers order the writes against the reads.
-    """
-
-    HEADER_ITEM = 8  # one int64 per rank
-
-    def __init__(self, shm: shared_memory.SharedMemory, size: int,
-                 slot_floats: int, *, owner: bool) -> None:
-        self._shm = shm
-        self.size = size
-        self.slot_floats = slot_floats
-        self._owner = owner
-        self._unlinked = False
-        self._closed = False
-        self._finalizer = (weakref.finalize(self, _reap_segment, shm)
-                           if owner else None)
-        header_bytes = self.HEADER_ITEM * size
-        self.lengths = np.frombuffer(shm.buf, dtype=np.int64, count=size)
-        self.slots = np.frombuffer(
-            shm.buf, dtype=np.float64, count=size * slot_floats,
-            offset=header_bytes).reshape(size, slot_floats)
-
-    @classmethod
-    @declares_effects("SHM_CREATE", "MUTATES_SHARED")
-    def create(cls, size: int, slot_floats: int) -> "ScratchBuffer":
-        slot_floats = max(int(slot_floats), 1)
-        nbytes = cls.HEADER_ITEM * size + 8 * size * slot_floats
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        buf = cls(shm, size, slot_floats, owner=True)
-        buf.lengths[:] = 0
-        return buf
-
-    @classmethod
-    @declares_effects("SHM_ATTACH")
-    def attach(cls, name: str, size: int, slot_floats: int) -> "ScratchBuffer":
-        shm = _attach_untracked(name)
-        _keep_mapped(shm)
-        return cls(shm, size, max(int(slot_floats), 1), owner=False)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def enable_tracking(self, tracker: WriteIntentTracker) -> None:
-        """Arm the race detector: writes through :attr:`lengths` /
-        :attr:`slots` record intents against ``tracker``."""
-        self.lengths = tracked_view(self.lengths, "scratch:lengths", tracker)
-        self.slots = tracked_view(self.slots, "scratch:slots", tracker)
-
-    @declares_effects("SHM_CLOSE")
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        # Views into the buffer must be dropped before closing the mmap.
-        self.lengths = None  # type: ignore[assignment]
-        self.slots = None  # type: ignore[assignment]
-        self._shm.close()
-
-    @declares_effects("SHM_UNLINK")
-    def unlink(self) -> None:
-        if self._owner and not self._unlinked:
-            self._unlinked = True
-            if self._finalizer is not None:
-                self._finalizer.detach()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass  # reaped by an attacher's resource tracker already

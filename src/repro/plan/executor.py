@@ -23,9 +23,10 @@ expansion, which resolves it only to ~16 ulps of ``|t|^2 + |s|^2``.  A
 tile whose R^2 min is at or below that floor (or 1e-24) holds a
 (near-)coincident atom/point pair: it recomputes R^2 from direct
 differences, so a coincident pair gives exactly 0, and drops the terms
-whose ``1/R^power`` is not finite, as ``pairwise_r6_exact`` drops its
-non-finite terms.  Surface points stay
-far above the floor, so real inputs never take this branch.
+whose ``1/R^power`` is not finite -- the rule, and the ``R2_GUARD`` /
+``R2_ULPS`` constants, of :mod:`repro.core.integrals`, so the naive and
+per-leaf references drop the same terms.  Surface points stay far above
+the floor, so real inputs never take this branch.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from ..analysis_static.verify.annotations import declares_effects
 from ..core.born import (AtomTreeData, BornPartial, QuadTreeData,
                          _slice_concat)
 from ..core.energy import EnergyContext, EpolPartial
+from ..core.integrals import R2_GUARD, R2_ULPS
 from ..runtime.instrument import WorkCounters
 from .schema import InteractionPlan
 
@@ -51,11 +53,6 @@ from .schema import InteractionPlan
 #: only the final CSR-order scatter / left fold carries the accumulation
 #: order.
 MAX_TILE_ELEMS = 1 << 15
-
-#: Born near-tile guard (module docstring): a tile whose expanded R^2
-#: min is at or below ``max(R2_GUARD, R2_ULPS * (max|t|^2 + max|s|^2))``.
-R2_GUARD = 1e-24
-R2_ULPS = 8.0 * float(np.finfo(np.float64).eps)
 
 
 def _check_plan(plan: InteractionPlan, kind: str,

@@ -116,6 +116,10 @@ class EvalResult:
     mode: str = "batched"
     #: Row slices the request fanned out to (1 for batched requests).
     nslices: int = 1
+    #: Born radii in sorted atom order, set by ``run_sliced`` (the
+    #: parent pushes them anyway); batched results leave it None, so
+    #: nothing molecule-sized crosses the worker result queue.
+    born_sorted: np.ndarray | None = None
 
 
 def _evaluate_local(molecule: Molecule, ranges: LocalRanges,
@@ -195,7 +199,8 @@ class InlineFleet:
                 f"{traceback.format_exc()}") from err
         return EvalResult(energy=energy, worker=0,
                           eval_seconds=now() - t0, mode="sliced",
-                          nslices=terms.nslices)
+                          nslices=terms.nslices,
+                          born_sorted=terms.born_sorted)
 
     def forget(self, entry: RegistryEntry) -> None:
         """Nothing published; the registry eviction already dropped it."""
@@ -258,9 +263,9 @@ class _WorkerState:
         surface = SurfaceQuadrature(bundle.view("q_points"),
                                     bundle.view("q_normals"),
                                     bundle.view("q_weights"))
-        # Deterministic rebuild from the shared coordinates: the published
-        # plans' node/point ids are valid against these trees by the same
-        # replicated-data argument run_real relies on.
+        # Deterministic rebuild from the shared coordinates (the paper's
+        # replicated data): the published plans' node/point ids are valid
+        # against these trees.
         atoms = AtomTreeData.build(self.molecule, leaf_cap=params.leaf_cap,
                                    sfc=params.tree_sfc,
                                    compress=params.tree_compress)
@@ -309,9 +314,8 @@ def _cached_state(cache: dict[str, _WorkerState], name: str, layout: Any,
     state = cache.get(name)
     cold = state is None
     if cold:
-        state = _WorkerState(
-            SharedArrayBundle.attach(name, layout, pin=False),
-            plan_meta, params, mol_name)
+        state = _WorkerState(SharedArrayBundle.attach(name, layout),
+                             plan_meta, params, mol_name)
         cache[name] = state
         while len(cache) > WORKER_CACHE_ENTRIES:
             victim = next(k for k in cache if k != name)
@@ -411,7 +415,7 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
                                             params, mol_name, live)
                 t0 = now()
                 scratch = SharedArrayBundle.attach(scratch_name,
-                                                   scratch_layout, pin=False)
+                                                   scratch_layout)
                 try:
                     out = _run_slice(state, rank, kind, scratch, lo, hi)
                 finally:
@@ -550,7 +554,7 @@ class ProcessFleet:
 
         The shared pipeline (:func:`~repro.serve.sliced.evaluate_ranges`)
         with the workers as its substrate, in two parent-mediated rounds
-        (the serving analogue of ``rank_program``'s hybrid phases):
+        (Fig. 4's two compute phases):
 
         1. **Born slices** -- workers fill disjoint flat-CSR spans of a
            per-request scratch segment, which the parent then reduces;
@@ -594,7 +598,7 @@ class ProcessFleet:
                 if races:
                     raise SliceError(
                         f"request {req_id}: overlapping scratch writes "
-                        f"across slices: {races[0]}")
+                        f"across slices: {races[0].describe()}")
             return (scratch.view("born_far")[:nnz_far],
                     scratch.view("born_near")[:nnz_near])
 
@@ -618,7 +622,8 @@ class ProcessFleet:
             scratch.unlink()
         return EvalResult(energy=energy, worker=-1,
                           eval_seconds=now() - t0, cold_attach=any(cold),
-                          mode="sliced", nslices=terms.nslices)
+                          mode="sliced", nslices=terms.nslices,
+                          born_sorted=terms.born_sorted)
 
     def _run_slice_phase(self, req_id: int, kind: str, head: tuple,
                          bounds: list[tuple[int, int]]) -> list:

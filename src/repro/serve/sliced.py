@@ -110,11 +110,13 @@ def fold_pair_terms(far_terms: np.ndarray,
 
 
 class PairTerms(NamedTuple):
-    """Per-row far/near E_pol terms of the whole plan, in row order, and
-    the ranges each phase executed."""
+    """Per-row far/near E_pol terms of the whole plan, in row order, the
+    Born radii they were evaluated against (sorted atom order), and the
+    ranges each phase executed."""
 
     far: np.ndarray
     near: np.ndarray
+    born_sorted: np.ndarray
     born_ranges: int
     epol_ranges: int
 
@@ -149,7 +151,7 @@ def evaluate_ranges(plans: PlanSet, atoms: AtomTreeData,
     for lo, hi, far_t, near_t in epol_phase(epol_bounds, born_sorted):
         far_terms[lo:hi] = far_t
         near_terms[lo:hi] = near_t
-    return PairTerms(far_terms, near_terms, len(born_bounds),
+    return PairTerms(far_terms, near_terms, born_sorted, len(born_bounds),
                      len(epol_bounds))
 
 

@@ -8,9 +8,10 @@ direct coordinate differences.  The bound is 1e-12 of the slot's sum of
 term magnitudes, over a whole plan and over one row range.
 
 The guard tests place surface points exactly on atom centres.  A
-coincident pair's term is undefined; the kernel must drop it, as the
-naive ``surface_integral`` and the per-leaf ``pairwise_r6_exact`` do,
-and leave every other term alone.
+coincident pair's term is undefined; every kernel must drop it and leave
+every other term alone.  The plan kernel, the naive ``surface_integral``
+and the per-leaf ``pairwise_r6_exact`` share one guard rule
+(``repro.core.integrals``), so all three are held to the same oracle.
 """
 
 from __future__ import annotations
@@ -23,29 +24,57 @@ import pytest
 
 from repro.core.born import QuadTreeData, approx_integrals_perleaf
 from repro.core.driver import PolarizationEnergyCalculator
+from repro.core.integrals import surface_integral
 from repro.molecule.generators import protein_blob
 from repro.plan import build_born_plan, execute_born_plan
 from repro.plan.executor import born_flat_values, born_spans
 
 
+def direct_terms(targets, points, normals, weights, power):
+    """``(targets, points)`` terms ``(s - t).wn / |s - t|^power`` from
+    direct differences; non-finite (coincident) terms are dropped."""
+    wn = weights[:, None] * normals
+    d = points[None, :, :] - targets[:, None, :]
+    r2 = (d * d).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (d * wn[None]).sum(axis=2) / r2 ** (power // 2)
+    terms[~np.isfinite(terms)] = 0.0
+    return terms
+
+
 def direct_near(plan, atoms, quad, lo, hi):
     """``(fsum, sum of |terms|)`` of every near slot of rows ``[lo, hi)``,
-    from direct differences; non-finite (coincident) terms are dropped."""
+    from direct differences."""
     sums, mags = [], []
     for t in range(lo, hi):
         qs, qe = plan.target_point_start[t], plan.target_point_end[t]
-        wn = quad.sorted_weights[qs:qe, None] * quad.sorted_normals[qs:qe]
         ids = plan.near_points[plan.near_point_start[t]:
                                plan.near_point_start[t + 1]]
-        d = (quad.sorted_points[qs:qe][None, :, :]
-             - atoms.tree.sorted_points[ids][:, None, :])
-        r2 = (d * d).sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = (d * wn[None]).sum(axis=2) / r2 ** (plan.power // 2)
-        terms[~np.isfinite(terms)] = 0.0
+        terms = direct_terms(atoms.tree.sorted_points[ids],
+                             quad.sorted_points[qs:qe],
+                             quad.sorted_normals[qs:qe],
+                             quad.sorted_weights[qs:qe], plan.power)
         sums.extend(math.fsum(row) for row in terms.tolist())
         mags.extend(np.abs(terms).sum(axis=1).tolist())
     return np.array(sums), np.array(mags)
+
+
+def direct_atom_near(plan, atoms, quad):
+    """``(fsum, sum of |terms|)`` per sorted atom over all its near slots
+    -- the oracle of the per-leaf loop's ``s_atom``."""
+    per_atom = [[] for _ in range(atoms.tree.npoints)]
+    for t in range(plan.nrows):
+        qs, qe = plan.target_point_start[t], plan.target_point_end[t]
+        ids = plan.near_points[plan.near_point_start[t]:
+                               plan.near_point_start[t + 1]]
+        terms = direct_terms(atoms.tree.sorted_points[ids],
+                             quad.sorted_points[qs:qe],
+                             quad.sorted_normals[qs:qe],
+                             quad.sorted_weights[qs:qe], plan.power)
+        for a, row in zip(ids.tolist(), terms.tolist()):
+            per_atom[a].extend(row)
+    return (np.array([math.fsum(ts) for ts in per_atom]),
+            np.array([math.fsum(abs(x) for x in ts) for ts in per_atom]))
 
 
 def near_values(plan, atoms, quad, lo, hi):
@@ -142,8 +171,7 @@ class TestCoincidentGuard:
         """Quadrature leaves of the calculator's size: a coincident pair's
         expanded R^2 is a rounding residual of either sign, not 0.  The
         guard must catch it wherever the point lands -- here on every
-        atom.  (The per-leaf loop fails this: a positive residual slips
-        under its absolute 1e-24 guard and the term blows up.)"""
+        atom."""
         calc, atoms, surface = blob400
         atom_ids = np.arange(len(calc.molecule))
         quad = _coincident(calc, surface, atom_ids,
@@ -155,3 +183,29 @@ class TestCoincidentGuard:
         want, mags = direct_near(plan, atoms, quad, 0, plan.nrows)
         assert_within(near_values(plan, atoms, quad, 0, plan.nrows),
                       want, mags)
+
+    def test_naive_on_every_atom(self, blob400, power):
+        """The naive all-pairs kernel on the same surface: each atom's
+        integral matches the fsum of its direct terms."""
+        calc, _, surface = blob400
+        points = surface.points.copy()
+        points[:len(calc.molecule)] = calc.molecule.positions
+        got = surface_integral(points, surface.normals, surface.weights,
+                               calc.molecule.positions, power=power)
+        terms = direct_terms(calc.molecule.positions, points,
+                             surface.normals, surface.weights, power)
+        want = np.array([math.fsum(row) for row in terms.tolist()])
+        assert_within(got, want, np.abs(terms).sum(axis=1))
+
+    def test_per_leaf_on_every_atom(self, blob400, power):
+        """The per-leaf reference loop on the same setup: each atom's
+        near-field sum matches the fsum of its direct terms."""
+        calc, atoms, surface = blob400
+        quad = _coincident(calc, surface, np.arange(len(calc.molecule)),
+                           leaf_cap=calc.params.quad_leaf_cap)
+        eps = calc.params.eps_born
+        plan = build_born_plan(atoms, quad, eps, power=power)
+        got = approx_integrals_perleaf(atoms, quad, quad.tree.leaves, eps,
+                                       power=power)
+        want, mags = direct_atom_near(plan, atoms, quad)
+        assert_within(got.s_atom, want, mags)

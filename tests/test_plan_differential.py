@@ -185,8 +185,8 @@ class TestCheckedRunsBitIdentical:
     def test_repro_checks_leg(self, calc, workers, monkeypatch):
         """REPRO_CHECKS=1 instrumentation must not perturb the numerics:
         checked runs match the legacy pipeline (radii and energy to
-        rounding) and the unchecked run bit for bit, and report zero
-        races / ordering violations."""
+        rounding) and the unchecked run bit for bit.  A checked run that
+        finds overlapping slice writes fails instead of returning."""
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
         plain = calc.compute(backend="real", workers=workers)
         monkeypatch.setenv("REPRO_CHECKS", "1")
@@ -196,5 +196,3 @@ class TestCheckedRunsBitIdentical:
         assert np.array_equal(res.born_radii, plain.born_radii)
         np.testing.assert_allclose(res.born_radii, ref_radii, rtol=1e-12,
                                    atol=0.0)
-        assert res.checks is not None
-        assert res.checks.ok

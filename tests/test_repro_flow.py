@@ -194,8 +194,7 @@ class TestContractCoverage:
             assert stamped, f"boundary callee {leaf} carries no contract"
 
     def test_publication_functions_are_contracted(self, index):
-        for suffix in ("serve.fleet._publication_arrays",
-                       "procpool.runner.run_real"):
+        for suffix in ("serve.fleet._publication_arrays",):
             stamped = [q for q in index.functions if q.endswith(suffix)]
             assert stamped, f"publisher {suffix} carries no contract"
 

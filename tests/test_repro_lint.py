@@ -144,7 +144,7 @@ class TestScoping:
 
     def test_wallclock_fine_outside_simtime(self):
         src = "import time\nt = time.perf_counter()\n"
-        assert lint_source(src, "src/repro/parallel/procpool/runner.py") \
+        assert lint_source(src, "src/repro/parallel/procpool/pool.py") \
             == []
         assert [f.rule for f in
                 lint_source(src, "src/repro/parallel/cilk/scheduler.py")] \

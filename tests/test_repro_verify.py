@@ -71,11 +71,14 @@ class TestExecutorPurityProof:
         assert qualname in src_result.effects.inferred
         assert src_result.effects_of(qualname) == frozenset()
 
-    def test_rank_program_declares_its_collectives(self, src_result):
+    def test_fleet_run_sliced_carries_its_effects(self, src_result):
+        """The proof is not vacuous: the process fleet's sliced path,
+        which times itself and owns a scratch segment, is seen as
+        effectful."""
         effs = src_result.effects_of(
-            "repro.parallel.procpool.runner.rank_program")
+            "repro.serve.fleet.ProcessFleet.run_sliced")
         assert "CLOCK" in effs
-        assert any(e.startswith("COLLECTIVE(") for e in effs)
+        assert {"SHM_CREATE", "SHM_UNLINK", "MUTATES_SHARED"} <= effs
 
     def test_builder_is_clock_free_without_injected_timer(self, src_result):
         assert "CLOCK" not in src_result.effects_of(

@@ -1,8 +1,8 @@
 """Lifecycle edge cases for procpool shared-memory plumbing.
 
-Covers the satellite checklist: ``_keep_mapped`` close-disarm (including
-under interpreter shutdown with exported views alive), double-``unlink``
-safety, and the zero-overhead contract when the race detector is off.
+Covers ``_keep_mapped`` close-disarm (including under interpreter
+shutdown with exported views alive), double-``unlink`` safety, finalizer
+backstops, and plain ndarray views.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.parallel.procpool.shm import (ScratchBuffer, SharedArrayBundle,
-                                         _keep_mapped)
+from repro.parallel.procpool.shm import SharedArrayBundle, _keep_mapped
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -28,7 +27,7 @@ class TestKeepMapped:
         try:
             worker = SharedArrayBundle.attach(owner.name, owner.layout)
             view = worker.view("x")  # exported pointer into the mmap
-            # attach() disarms close: this must not raise BufferError even
+            # close() disarms itself: this must not raise BufferError even
             # though `view` still points into the buffer.
             worker.close()
             assert view[3] == 3.0  # mapping still alive
@@ -44,8 +43,9 @@ class TestKeepMapped:
             owner.view("x")  # buffer gone
 
     def test_interpreter_shutdown_with_live_views(self):
-        """A worker process that exits with module-level views into an
-        attached segment must die cleanly (no BufferError on __del__)."""
+        """A worker process that closes an attached segment while a view
+        escaped (a fleet worker's eviction) and then exits with that view
+        alive must die cleanly (no BufferError on __del__)."""
         owner = SharedArrayBundle.create({"x": np.arange(8.0)})
         try:
             script = textwrap.dedent(f"""
@@ -54,6 +54,7 @@ class TestKeepMapped:
                 layout = {owner.layout!r}
                 bundle = SharedArrayBundle.attach({owner.name!r}, layout)
                 keep = bundle.view("x")  # lives until interpreter death
+                bundle.close()
                 assert keep[2] == 2.0
             """)
             env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
@@ -84,12 +85,6 @@ class TestDoubleUnlink:
         bundle.unlink()  # second unlink: no FileNotFoundError
         bundle.close()
 
-    def test_scratch_double_unlink_safe(self):
-        scratch = ScratchBuffer.create(2, 4)
-        scratch.unlink()
-        scratch.unlink()
-        scratch.close()
-
     def test_nonowner_unlink_is_noop(self):
         owner = SharedArrayBundle.create({"x": np.zeros(4)})
         try:
@@ -105,14 +100,13 @@ class TestDoubleUnlink:
 
 
 class TestUnpinnedAttach:
-    """Serving workers attach with ``pin=False`` so evicted molecules can
+    """Serving workers' attaches are unpinned, so evicted molecules can
     actually unmap; close() stays safe even if a view escapes."""
 
     def test_unpinned_close_after_dropping_views(self):
         owner = SharedArrayBundle.create({"x": np.arange(4.0)})
         try:
-            worker = SharedArrayBundle.attach(owner.name, owner.layout,
-                                              pin=False)
+            worker = SharedArrayBundle.attach(owner.name, owner.layout)
             v = worker.view("x")
             assert v[1] == 1.0
             del v
@@ -126,8 +120,7 @@ class TestUnpinnedAttach:
     def test_unpinned_close_with_escaped_view_disarms(self):
         owner = SharedArrayBundle.create({"x": np.arange(4.0)})
         try:
-            worker = SharedArrayBundle.attach(owner.name, owner.layout,
-                                              pin=False)
+            worker = SharedArrayBundle.attach(owner.name, owner.layout)
             escaped = worker.view("x")
             worker.close()  # BufferError swallowed, __del__ disarmed
             assert escaped[2] == 2.0  # mapping intentionally still alive
@@ -166,8 +159,7 @@ class TestFinalizerBackstops:
                 from repro.parallel.procpool.shm import (SharedArrayBundle,
                                                          _ArraySpec)
                 layout = {owner.layout!r}
-                bundle = SharedArrayBundle.attach({owner.name!r}, layout,
-                                                  pin=False)
+                bundle = SharedArrayBundle.attach({owner.name!r}, layout)
                 assert bundle.view("x")[3] == 3.0
                 bundle.close()
             """)
@@ -186,13 +178,11 @@ class TestFinalizerBackstops:
 
 
 class TestZeroOverheadDisabled:
-    """Regression: with the race detector off, the shm classes allocate
-    no shadow state and hand out base ndarrays."""
+    """Regression: the shm bundle hands out base ndarrays."""
 
     def test_bundle_no_shadow_state(self):
         bundle = SharedArrayBundle.create({"x": np.zeros(8)})
         try:
-            assert bundle._tracker is None
             v1 = bundle.view("x")
             assert type(v1) is np.ndarray
             v1[2:4] = 1.0  # plain ndarray write path, nothing recorded
@@ -200,19 +190,3 @@ class TestZeroOverheadDisabled:
         finally:
             bundle.close()
             bundle.unlink()
-
-    def test_scratch_no_shadow_state(self):
-        scratch = ScratchBuffer.create(3, 4)
-        try:
-            assert type(scratch.lengths) is np.ndarray
-            assert type(scratch.slots) is np.ndarray
-            scratch.lengths[1] = 2
-            scratch.slots[1, :2] = [1.0, 2.0]
-        finally:
-            scratch.close()
-            scratch.unlink()
-
-    def test_unchecked_backend_has_no_tracker(self):
-        from repro.parallel.procpool.backend import SerialBackend
-        backend = SerialBackend()
-        assert not hasattr(backend, "_tracker")

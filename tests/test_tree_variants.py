@@ -4,10 +4,9 @@ One conformation, four tree variants ({morton, hilbert} x {plain,
 compressed}), every execution substrate.  The contracts:
 
 * within a fixed variant the substrates are interchangeable: the serial
-  driver, the one-process real backend, and both serve paths (batched,
-  sliced) are bit-identical; multi-process real and simulated runs agree
-  with serial to the collective-rounding tolerance and with *each other*
-  bit for bit;
+  driver, the real backend at one and two processes, the simulated
+  full-numerics run and both serve paths (batched, sliced) are
+  bit-identical;
 * across variants the energies agree to <= 1e-10 relative at default
   eps -- different leaf orders reorder additions but never change which
   interactions are approximated (the MAC sees the same balls);
@@ -74,15 +73,16 @@ class TestWithinVariantSubstrates:
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
     def test_two_process_real_equals_simulated(self, refs, variant):
-        """Real P=2 == simulated P=2 (full numerics) bit for bit, and
-        both within collective-rounding distance of serial."""
+        """Real P=2 == simulated P=2 (full numerics) == serial, bit for
+        bit."""
         calc, ref = refs[variant]
         layout = RankLayout(nodes=1, ranks_per_node=2, threads_per_rank=1)
         real = calc.compute(backend="real", workers=2)
         sim = run_parallel(calc, layout, numerics="full")
         assert real.energy == sim.energy
         np.testing.assert_array_equal(real.born_radii, sim.born_radii)
-        assert real.energy == pytest.approx(ref.energy, rel=1e-10)
+        assert real.energy == ref.energy
+        np.testing.assert_array_equal(real.born_radii, ref.born_radii)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
     def test_serve_batched_and_sliced_bit_identical(self, molecule, refs,
