@@ -1,4 +1,4 @@
-"""repro-model: protocol model checking + slice-disjointness proofs.
+"""repro-model: protocol model checking.
 
 The static counterpart of the serving stack's concurrency claims (see
 docs/ANALYSIS.md section 5):
@@ -12,20 +12,18 @@ docs/ANALYSIS.md section 5):
 * :mod:`.extract` -- AST code facts anchoring model transitions to the
   real source (a failed fact weakens the model, whose re-exploration
   then shows the regression as an interleaving);
-* :mod:`.protocols` -- the scheduler / future / pool / shm models;
-* :mod:`.disjoint` -- the symbolic chain/span/axiom proof that sliced
-  execution writes pairwise-disjoint, exactly-covering flat ranges;
-* :mod:`.checks` -- the repro-verify pass emitting RV401--RV405.
+* :mod:`.protocols` -- the scheduler / future / pool / shm / cluster
+  models;
+* :mod:`.checks` -- the repro-verify pass emitting RV401--RV406.
 
-Wired into ``python -m repro.verify`` (check families ``model`` and
-``disjoint``); findings flow through the standard reporters, baseline
-ratchet and ``allow=`` suppressions.
+Wired into ``python -m repro.verify`` (check family ``model``); findings
+flow through the standard reporters, baseline ratchet and ``allow=``
+suppressions.
 """
 
 from .annotations import (events_for, protocol_event, protocol_marks,
                           record_events)
 from .checks import ModelChecker
-from .disjoint import DisjointProver, ProofStep, prove
 from .machine import (ExploreResult, Invariant, Model, Obligation,
                       Transition, Violation)
 from .protocols import (SPECS, build_future_model, build_models,
@@ -33,13 +31,11 @@ from .protocols import (SPECS, build_future_model, build_models,
                         build_shm_model)
 
 __all__ = [
-    "DisjointProver",
     "ExploreResult",
     "Invariant",
     "Model",
     "ModelChecker",
     "Obligation",
-    "ProofStep",
     "SPECS",
     "Transition",
     "Violation",
@@ -51,6 +47,5 @@ __all__ = [
     "events_for",
     "protocol_event",
     "protocol_marks",
-    "prove",
     "record_events",
 ]

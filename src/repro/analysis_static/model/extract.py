@@ -43,17 +43,6 @@ def find_function(program: Program, suffix: str) -> FunctionInfo | None:
     return program.functions[hits[0]] if hits else None
 
 
-def find_class_line(program: Program, suffix: str) -> tuple[str, int] | None:
-    """(modname, lineno) of the class whose qualname ends with ``suffix``."""
-    dotted = suffix if suffix.startswith(".") else "." + suffix
-    hits = sorted(q for q in program.classes
-                  if q.endswith(dotted) or q == suffix.lstrip("."))
-    if not hits:
-        return None
-    info = program.classes[hits[0]]
-    return info.modname, info.lineno
-
-
 # ---------------------------------------------------------------------------
 # Individual code-fact predicates
 # ---------------------------------------------------------------------------

@@ -466,8 +466,7 @@ class ProtocolSpec:
 def _donation_cuts_with_slice_bounds(program: Program,
                                      fn: FunctionInfo) -> bool:
     """``_donate`` runs the shared row-range pipeline, and the pipeline
-    (when it is in the analysed tree) cuts its rows with ``slice_bounds``
-    -- the verified disjoint exact cover (RV501)."""
+    (when it is in the analysed tree) cuts its rows with ``slice_bounds``."""
     if not extract.calls_name(fn, "evaluate_ranges"):
         return False
     pipeline = extract.find_function(program, ".evaluate_ranges")

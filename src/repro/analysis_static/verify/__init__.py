@@ -1,16 +1,11 @@
 """repro-verify: whole-program static verification (see docs/ANALYSIS.md).
 
-Six analyses over one shared program model:
+Three analyses over one shared program model:
 
-* :mod:`.effects`     -- interprocedural effect inference (RV101/RV102)
-* :mod:`.typestate`   -- shared-memory segment protocol (RV201..RV206)
-* :mod:`.collectives` -- static collective-matching (RV301/RV302)
-* :mod:`repro.analysis_static.model.checks`   -- protocol model
-  checking with counterexample interleavings (RV401..RV405)
-* :mod:`repro.analysis_static.model.disjoint` -- symbolic
-  slice-disjointness proofs (RV501..RV504)
-* :mod:`repro.analysis_static.flow`           -- shape/dtype/contiguity
-  abstract interpretation against @array_contract (RV601..RV605)
+* :mod:`.effects`   -- interprocedural effect inference (RV101/RV102)
+* :mod:`.typestate` -- shared-memory segment protocol (RV201..RV206)
+* :mod:`repro.analysis_static.model.checks` -- protocol model checking
+  with counterexample interleavings (RV401..RV406)
 
 plus :mod:`.annotations` (the runtime ``@declares_effects`` decorator)
 and :mod:`.report` (catalogue, suppressions, renderers).
@@ -24,13 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .annotations import (
-    COLLECTIVE_KINDS,
-    EFFECT_NAMES,
-    declared_effects_of,
-    declares_effects,
-)
-from .collectives import CollectiveChecker
+from .annotations import EFFECT_NAMES, declared_effects_of, declares_effects
 from .effects import EffectAnalysis
 from .program import Program
 from .report import (
@@ -49,7 +38,6 @@ from .typestate import TypestateChecker
 __all__ = [
     "CHECKS",
     "CHECK_FAMILIES",
-    "COLLECTIVE_KINDS",
     "EFFECT_NAMES",
     "EffectAnalysis",
     "Program",
@@ -90,18 +78,13 @@ def run_verify(
     ctx = CheckContext()
     effects.run_checks(ctx)
     TypestateChecker(program).run_checks(ctx)
-    CollectiveChecker(program, effects).run_checks(ctx)
-    # Imported lazily: the model and flow packages both *analyse* this
-    # package's program model and *provide* runtime decorators
-    # (@protocol_event, @array_contract) that analysed modules import --
-    # a top-level import here would close that cycle during package init.
-    from ..flow.checks import FlowChecker
+    # Imported lazily: the model package both *analyses* this package's
+    # program model and *provides* the runtime @protocol_event decorator
+    # that analysed modules import -- a top-level import here would close
+    # that cycle during package init.
     from ..model.checks import ModelChecker
-    from ..model.disjoint import DisjointProver
 
     ModelChecker(program).run_checks(ctx)
-    DisjointProver(program).run_checks(ctx)
-    FlowChecker(program).run_checks(ctx)
 
     for mod in program.modules.values():
         covers, bad = parse_allows(mod.lines)

@@ -24,9 +24,6 @@ The lattice elements:
     draws from an unseeded or process-global random source.
 ``IO``
     file/stream/process I/O (``open``, ``print``, ``subprocess`` ...).
-``COLLECTIVE(kind)``
-    issues the named cross-rank collective (``allreduce``, ``allgather``,
-    ``reduce``, ``bcast``, ``gather``, ``barrier``).
 ``SHM_CREATE`` / ``SHM_ATTACH`` / ``SHM_CLOSE`` / ``SHM_UNLINK``
     shared-memory segment lifecycle transitions.
 ``MUTATES_SHARED``
@@ -35,7 +32,6 @@ The lattice elements:
 
 from __future__ import annotations
 
-import re
 from typing import Callable, TypeVar
 
 #: Attribute stamped on decorated callables.
@@ -47,13 +43,6 @@ EFFECT_NAMES = frozenset({
     "SHM_CREATE", "SHM_ATTACH", "SHM_CLOSE", "SHM_UNLINK",
 })
 
-#: Collective kinds accepted inside ``COLLECTIVE(...)``.
-COLLECTIVE_KINDS = frozenset({
-    "allreduce", "allgather", "reduce", "bcast", "gather", "barrier",
-})
-
-_COLLECTIVE_RE = re.compile(r"^COLLECTIVE\(([a-z_]+)\)$")
-
 _F = TypeVar("_F", bound=Callable)
 
 
@@ -62,13 +51,8 @@ def validate_effect(effect: str) -> str:
     outside the lattice (typos must fail at import time)."""
     if effect in EFFECT_NAMES:
         return effect
-    m = _COLLECTIVE_RE.match(effect)
-    if m and m.group(1) in COLLECTIVE_KINDS:
-        return effect
     raise ValueError(
-        f"unknown effect {effect!r}; expected one of "
-        f"{sorted(EFFECT_NAMES)} or COLLECTIVE(kind) with kind in "
-        f"{sorted(COLLECTIVE_KINDS)}")
+        f"unknown effect {effect!r}; expected one of {sorted(EFFECT_NAMES)}")
 
 
 def declares_effects(*effects: str) -> Callable[[_F], _F]:

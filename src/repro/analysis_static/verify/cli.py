@@ -22,9 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.verify",
         description=(
             "repro-verify: whole-program effect inference, shared-memory "
-            "typestate, static collective-matching, protocol model "
-            "checking, slice-disjointness proofs and shape/dtype/"
-            "contiguity flow analysis (RV001..RV605)."))
+            "typestate and protocol model checking (RV001..RV406)."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to verify (default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
@@ -64,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             name = raw.strip()
             if not name:
                 continue
-            # A family name (model, disjoint, shm, ...) expands to its
+            # A family name (effects, shm, model) expands to its
             # member checks; anything else must be a check id.
             family = CHECK_FAMILIES.get(name.lower())
             if family is not None:

@@ -16,9 +16,9 @@ have ``inferred(f) == ∅`` for every function, or RV101 fires with the
 call chain that reaches the effect.
 
 Resolution gaps degrade soundness, not precision: an unresolvable call
-contributes nothing.  The important seams -- shm lifecycle, backend
-collectives, the sanctioned clock -- carry declarations precisely so
-the analysis does not depend on resolving them through duck typing.
+contributes nothing.  The important seams -- shm lifecycle and the
+sanctioned clock -- carry declarations precisely so the analysis does
+not depend on resolving them through duck typing.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ IO_PREFIXES = ("subprocess.", "shutil.", "sys.stdout.", "sys.stderr.")
 _SEEDABLE_RNG = frozenset({"default_rng", "RandomState", "SeedSequence",
                            "Generator", "Philox", "PCG64", "Random"})
 _ALWAYS_RNG_EXTERNALS = frozenset({"os.urandom", "uuid.uuid4", "random.SystemRandom"})
-
-COLLECTIVE_ATTRS = frozenset({"allreduce", "allgather", "reduce",
-                              "bcast", "gather", "barrier"})
-#: Untyped receivers assumed to be an execution backend / rank context.
-BACKENDISH_NAMES = frozenset({"backend", "ctx", "comm", "world"})
 
 _SHM_CLASS_NAMES = frozenset({"SharedArrayBundle"})
 _SHARED_MEMORY_EXTERNAL = "multiprocessing.shared_memory.SharedMemory"
@@ -104,19 +99,6 @@ def shared_memory_creates(call: ast.Call) -> bool:
         a = call.args[1]
         return isinstance(a, ast.Constant) and bool(a.value)
     return False
-
-
-def is_stub(fn: FunctionInfo) -> bool:
-    """True for Protocol-style stubs (docstring / ``...`` / ``pass`` only)."""
-    for stmt in fn.node.body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue
-        if isinstance(stmt, ast.Raise):
-            continue
-        return False
-    return True
 
 
 def iter_own_nodes(fn: FunctionInfo) -> "list[ast.AST]":
@@ -293,13 +275,7 @@ class EffectAnalysis:
                 return
         ref = prog.resolve_call(fn, node)
         if ref.kind == "function":
-            callee = prog.functions[ref.target]
-            if is_stub(callee) and callee.declared is None:
-                # Protocol stub without a declaration: fall back to the
-                # attribute-name heuristic below.
-                self._collective_heuristic(fn, node, add, typed_ok=True)
-            else:
-                edges.append((ref.target, node.lineno))
+            edges.append((ref.target, node.lineno))
             return
         if ref.kind == "class":
             init = prog.lookup_method(ref.target, "__init__")
@@ -309,26 +285,6 @@ class EffectAnalysis:
         if ref.kind == "external":
             for effect, reason in classify_external(ref.target, node).items():
                 add(effect, node, reason)
-            return
-        self._collective_heuristic(fn, node, add, typed_ok=False)
-
-    def _collective_heuristic(
-        self, fn: FunctionInfo, node: ast.Call, add: _AddFn, *, typed_ok: bool
-    ) -> None:
-        """COLLECTIVE(kind) for ``backend.allreduce(...)``-shaped calls on
-        receivers we cannot (or need not) type precisely."""
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in COLLECTIVE_ATTRS:
-            return
-        recv = receiver_text(func.value)
-        if recv is None:
-            return
-        base = recv.split(".")[0]
-        if not typed_ok and self.program.type_of_receiver(fn, func.value) is not None:
-            return
-        if base in BACKENDISH_NAMES or recv.split(".")[-1] in BACKENDISH_NAMES:
-            add(f"COLLECTIVE({func.attr})", node,
-                f"calls {recv}.{func.attr}() (backend-shaped receiver)")
 
     def _clock_default_params(self, fn: FunctionInfo) -> set[str]:
         out: set[str] = set()

@@ -41,13 +41,6 @@ PURE_MODULE_SUFFIXES: tuple[str, ...] = (
     "repro/core/integrals.py",
 )
 
-#: Module-path suffixes that *implement* collectives (their bodies are
-#: naturally rank-dependent) and are exempt from collective-matching.
-COLLECTIVE_HOME_SUFFIXES: tuple[str, ...] = (
-    "parallel/procpool/pool.py",
-)
-COLLECTIVE_HOME_PARTS: tuple[str, ...] = ("simmpi",)
-
 
 @dataclass(frozen=True)
 class Ref:
@@ -104,14 +97,6 @@ class ModuleInfo:
             return True
         posix = self.path.as_posix()
         return any(posix.endswith(sfx) for sfx in PURE_MODULE_SUFFIXES)
-
-    def is_collective_home(self) -> bool:
-        if "collective-home" in self.policies:
-            return True
-        posix = self.path.as_posix()
-        if any(posix.endswith(sfx) for sfx in COLLECTIVE_HOME_SUFFIXES):
-            return True
-        return any(part in self.path.parts for part in COLLECTIVE_HOME_PARTS)
 
 
 def module_name_for(path: Path) -> str:

@@ -46,7 +46,7 @@ CHECKS: dict[str, Check] = {
             "effect-purity",
             "effectful code in a module that must be effect-free",
             "pure modules (plan executors, core energy kernels) may not reach "
-            "CLOCK/RNG/IO/collectives/shared-memory effects on any call path",
+            "CLOCK/RNG/IO/shared-memory effects on any call path",
         ),
         Check(
             "RV102",
@@ -94,20 +94,6 @@ CHECKS: dict[str, Check] = {
             "add a close/release method that closes the stored segment",
         ),
         Check(
-            "RV301",
-            "collective-divergence",
-            "rank-dependent branch arms emit different collective sequences",
-            "hoist the collective out of the branch; all ranks must issue "
-            "the same collective sequence or the program deadlocks",
-        ),
-        Check(
-            "RV302",
-            "collective-rank-dep-loop",
-            "collective inside a loop with a rank-dependent trip count",
-            "loop bounds that differ per rank desynchronise the collective "
-            "schedule; iterate a rank-invariant bound",
-        ),
-        Check(
             "RV401",
             "model-deadlock",
             "protocol model reaches a state with no enabled transition",
@@ -151,73 +137,6 @@ CHECKS: dict[str, Check] = {
             "rejection must propagate to the submitting client (retry or "
             "re-raise; never a silent drop)",
         ),
-        Check(
-            "RV501",
-            "slice-chain-unproven",
-            "slice row bounds are not provably a disjoint exact cover",
-            "segment_by_weight/segment_range/slice_bounds must keep the "
-            "chained-fold shape (start=0; append (start, end); start=end; "
-            "final cut forced to n)",
-        ),
-        Check(
-            "RV502",
-            "slice-span-mismatch",
-            "flat write spans are not the chain image of one offset array",
-            "slice bounds must be [int(A[lo]), int(A[hi])) of a single "
-            "monotone offset array with no arithmetic on the endpoints",
-        ),
-        Check(
-            "RV503",
-            "slice-axiom-missing",
-            "the monotone-CSR axiom is no longer runtime-checked",
-            "InteractionPlan.validate() must reject np.diff(start) < 0 and "
-            "start[0] != 0 -- the precondition of the span-image proof",
-        ),
-        Check(
-            "RV504",
-            "key-range-cover-unproven",
-            "key-range row cuts are not provably a disjoint exact cover",
-            "segment_by_key_range must keep the chained fold over a "
-            "segment_by_weight chain (sorted-key guard; snap forward with "
-            "side=\"right\"; end = max(end, start); final cut forced to n)",
-        ),
-        Check(
-            "RV601",
-            "flow-shape-mismatch",
-            "array shape contradicts an @array_contract",
-            "the caller's inferred symbolic shape definitely mismatches the "
-            "contract; fix the argument order/size or correct the contract",
-        ),
-        Check(
-            "RV602",
-            "flow-dtype-drift",
-            "silent dtype promotion or downcast on an energy path",
-            "Born/E_pol values are float64 end to end; remove the float32 "
-            "operand (or the float64->float32 cast) or take the value off "
-            "the energy path",
-        ),
-        Check(
-            "RV603",
-            "flow-view-published",
-            "view-aliased array where a C-contiguous owner is required",
-            "SharedArrayBundle.create would silently copy a view into the "
-            "segment; materialise with np.ascontiguousarray (or pass the "
-            "owning array) so writes reach the shared memory",
-        ),
-        Check(
-            "RV604",
-            "flow-index-width",
-            "int32 index array gathers into a 64-bit CSR/key array",
-            "CSR indices and Hilbert keys are 64-bit end to end; cast the "
-            "index to int64 at the seam (int32 truncates past 2^31)",
-        ),
-        Check(
-            "RV605",
-            "flow-uncontracted-boundary",
-            "array crosses a process/shm/cluster boundary without a contract",
-            "stamp the publishing/boundary function with @array_contract "
-            "covering every payload key so repro-flow can check the hop",
-        ),
     )
 }
 
@@ -225,10 +144,7 @@ CHECKS: dict[str, Check] = {
 CHECK_FAMILIES: dict[str, tuple[str, ...]] = {
     "effects": ("RV101", "RV102"),
     "shm": ("RV201", "RV202", "RV203", "RV204", "RV205", "RV206"),
-    "collectives": ("RV301", "RV302"),
     "model": ("RV401", "RV402", "RV403", "RV404", "RV405", "RV406"),
-    "disjoint": ("RV501", "RV502", "RV503", "RV504"),
-    "flow": ("RV601", "RV602", "RV603", "RV604", "RV605"),
 }
 
 _SLUG_TO_ID = {c.slug: c.id for c in CHECKS.values()}

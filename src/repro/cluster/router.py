@@ -41,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis_static.flow.contracts import array_contract
 from ..analysis_static.model.annotations import protocol_event
 from ..core.energy import epol_from_pair_sum
 from ..core.params import ApproximationParams
@@ -455,8 +454,6 @@ class ClusterRouter:
                                 kind="donate_result")
 
     @protocol_event("cluster", "reduce")
-    @array_contract(far_terms="(nrows,) float64 C",
-                    near_terms="(nrows,) float64 C")
     def _donate_finish(self, entry: RegistryEntry, far_terms: np.ndarray,
                        near_terms: np.ndarray) -> float:
         """The owner's serial replay: interleaved left fold of the

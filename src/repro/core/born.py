@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis_static.flow.contracts import array_contract
 from ..molecule.molecule import Molecule
 from ..octree.aggregate import pseudo_normals
 from ..octree.build import build_octree
@@ -224,7 +223,6 @@ def approx_integrals_perleaf(atoms: AtomTreeData, quad: QuadTreeData,
     return partial
 
 
-@array_contract(returns="(npoints,) float64 C")
 def push_integrals_to_atoms(atoms: AtomTreeData, partial: BornPartial, *,
                             max_radius: float,
                             power: int = 6,

@@ -139,7 +139,6 @@ def segment_by_key_range(keys: np.ndarray, nparts: int, *,
         end = max(end, start)
         bounds.append((start, end))
         start = end
-    bounds[-1] = (bounds[-1][0], n)
     return bounds
 
 

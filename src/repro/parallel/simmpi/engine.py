@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
-from ...analysis_static.checks import checks_enabled
-from ...analysis_static.ordering import CollectiveLog, diff_collective_logs
 from ...runtime.clock import SimClock
 from ...runtime.trace import Trace
 from ..machine import LONESTAR4_NETWORK, NetworkSpec, RankLayout
@@ -171,16 +169,12 @@ class SimMPI:
                                 "'return x; yield' for pure-compute ranks)")
             states.append(_RankState(gen=gen, ctx=ctx))
         self._mailbox.clear()
-        # REPRO_CHECKS=1: keep per-rank collective sequences so a
-        # mismatch deadlock carries a structured ordering report.
-        logs = ([CollectiveLog(r) for r in range(p)]
-                if checks_enabled() else None)
 
         while True:
             progressed = self._step_unblocked(states)
             if all(s.finished for s in states):
                 break
-            matched = self._match(states, stats, logs)
+            matched = self._match(states, stats)
             if not progressed and not matched:
                 live = [i for i, s in enumerate(states) if not s.finished]
                 kinds = {i: type(states[i].pending).__name__ for i in live}
@@ -215,24 +209,14 @@ class SimMPI:
                 s.pending = request
         return progressed
 
-    def _match(self, states: list[_RankState], stats: CommStats,
-               logs: list[CollectiveLog] | None = None) -> bool:
+    def _match(self, states: list[_RankState], stats: CommStats) -> bool:
         matched = False
         live = [s for s in states if not s.finished]
         # -- collectives: every live rank must present the same signature.
         if live and all(isinstance(s.pending, Collective) for s in live):
-            if logs is not None:
-                for s in live:
-                    req = s.pending
-                    logs[s.ctx.rank].record(req.kind, op=req.op,
-                                            root=req.root, data=req.data)
             sigs = {s.pending.signature() for s in live}
             if len(sigs) > 1:
-                msg = f"mismatched collectives: {sorted(sigs)}"
-                if logs is not None:
-                    msg += "\n" + diff_collective_logs(
-                        [logs[s.ctx.rank] for s in live]).format()
-                raise DeadlockError(msg)
+                raise DeadlockError(f"mismatched collectives: {sorted(sigs)}")
             if len(live) < len(states):
                 finished = [s.ctx.rank for s in states if s.finished]
                 raise DeadlockError(

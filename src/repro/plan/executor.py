@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..analysis_static.flow.contracts import array_contract
 from ..analysis_static.verify.annotations import declares_effects
 from ..core.born import (AtomTreeData, BornPartial, QuadTreeData,
                          _slice_concat)
@@ -114,7 +113,6 @@ def born_spans(plan: InteractionPlan, lo: int, hi: int
 
 
 @declares_effects()
-@array_contract(far="(?,) float64 view-ok", near="(?,) float64 view-ok")
 def born_flat_values(plan: InteractionPlan, atoms: AtomTreeData,
                      quad: QuadTreeData, far: np.ndarray, near: np.ndarray,
                      *, row_range: tuple[int, int] | None = None) -> None:
@@ -356,7 +354,6 @@ def _kept_tiles(plan: InteractionPlan, atoms: AtomTreeData) -> _KeptTiles:
 
 
 @declares_effects()
-@array_contract(far_terms="(?,) float64 C", near_terms="(?,) float64 C")
 def epol_row_terms(plan: InteractionPlan, ctx: EnergyContext, *,
                    row_range: tuple[int, int] | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..analysis_static.flow.contracts import array_contract
 from ..runtime.instrument import WorkCounters
 
 #: The flat arrays a plan is made of, in publication order.  All are
@@ -55,19 +54,6 @@ PLAN_META_FIELDS: tuple[str, ...] = (
 ROW_ORDER_LEAF_KEY = "leaf-key"
 
 
-@array_contract(
-    target_leaves="(nrows,) int64 C",
-    target_point_start="(nrows,) int64 C",
-    target_point_end="(nrows,) int64 C",
-    far_start="(nrows+1,) int64 C",
-    far_nodes="(nnz_far,) int64 C",
-    far_dist="(nnz_far,) float64 C",
-    near_leaf_start="(nrows+1,) int64 C",
-    near_leaves="(nnz_near_leaves,) int64 C",
-    near_point_start="(nrows+1,) int64 C",
-    near_points="(nnz_near,) int64 C",
-    nodes_visited="(nrows,) int64 C",
-)
 @dataclass
 class InteractionPlan:
     """Flat-CSR interaction lists for one kernel configuration.
@@ -225,6 +211,13 @@ class InteractionPlan:
     def validate(self) -> None:
         """Structural sanity checks (cheap; used by tests and checked
         runs)."""
+        # 64-bit end to end: an int32 index truncates past 2**31 rows or
+        # points, long before anything else looks wrong.
+        for name in PLAN_ARRAY_FIELDS:
+            want = np.dtype(np.float64 if name == "far_dist" else np.int64)
+            got = getattr(self, name).dtype
+            if got != want:
+                raise ValueError(f"{name} must be {want}, not {got}")
         L = self.nrows
         for name in ("far_start", "near_leaf_start", "near_point_start"):
             start = getattr(self, name)

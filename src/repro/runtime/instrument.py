@@ -11,7 +11,6 @@ paper's 144-core figures deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from dataclasses import field as dc_field
 
 
 @dataclass
@@ -65,26 +64,3 @@ class WorkCounters:
         for p in parts:
             out.add(p)
         return out
-
-
-@dataclass
-class TimingLedger:
-    """Named wall-clock accumulators (plan build/exec, phase timings).
-
-    Unlike :class:`WorkCounters` these are *measured seconds*, so they
-    never feed the deterministic cost model -- they exist for bench
-    output and the trace, where real timings are the point.
-    """
-
-    seconds: dict[str, float] = dc_field(default_factory=dict)
-
-    def add(self, name: str, dt: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(dt)
-
-    def merge(self, other: "TimingLedger") -> "TimingLedger":
-        for name, dt in other.seconds.items():
-            self.add(name, dt)
-        return self
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(sorted(self.seconds.items()))

@@ -41,7 +41,6 @@ from typing import Any
 import numpy as np
 
 from ..analysis_static.checks import checks_enabled
-from ..analysis_static.flow.contracts import array_contract
 from ..analysis_static.races import (WriteIntentTracker, find_races,
                                      intents_from_payload)
 from ..core.born import AtomTreeData, QuadTreeData
@@ -222,16 +221,6 @@ class _Publication:
     mol_name: str
 
 
-@array_contract(
-    positions="(natoms, 3) float64 C",
-    radii="(natoms,) float64 C",
-    charges="(natoms,) float64 C",
-    q_points="(nquad, 3) float64 C",
-    q_normals="(nquad, 3) float64 C",
-    q_weights="(nquad,) float64 C",
-    plan_born="plan",
-    plan_epol="plan",
-)
 def _publication_arrays(entry: RegistryEntry,
                         plans: PlanSet) -> dict[str, Any]:
     surface = entry.calc.prepare_surface()
@@ -508,20 +497,28 @@ class ProcessFleet:
                   ) -> dict[int, EvalResult]:
         if self._pool.closed:
             raise FleetError("fleet is shut down")
+        out: dict[int, EvalResult] = {}
+        expected: set[int] = set()
         for req_id, entry, cfg in items:
-            pub = self._ensure_published(entry, cfg)
             try:
+                pub = self._ensure_published(entry, cfg)
                 self._pool.submit(("run", req_id, pub.bundle.name,
                                    pub.bundle.layout, pub.plan_meta,
                                    pub.params, pub.mol_name,
                                    self._live_names()))
             except PoolError as err:
                 raise FleetError(str(err)) from err
+            except Exception:
+                # A parent-side failure (plan build, publication) fails
+                # this request alone; the rest of the batch still runs.
+                out[req_id] = EvalResult(energy=float("nan"), worker=-1,
+                                         eval_seconds=0.0,
+                                         error=traceback.format_exc())
+                continue
+            expected.add(req_id)
         # Collection is id-based, not count-based: stale results from an
         # earlier aborted sliced request may still be in flight on the
         # shared results queue and must not desynchronise this batch.
-        expected = {req_id for req_id, _, _ in items}
-        out: dict[int, EvalResult] = {}
         try:
             while expected:
                 res = self._pool.next_result()
@@ -543,11 +540,6 @@ class ProcessFleet:
             raise FleetError(str(err)) from err
         return out
 
-    @array_contract(
-        born_far="(nnz_far,) float64 C",
-        born_near="(nnz_near,) float64 C",
-        born_sorted="(npoints,) float64 C",
-    )
     def run_sliced(self, req_id: int, entry: RegistryEntry,
                    cfg: EpsConfig) -> EvalResult:
         """One request fanned over every warm worker, bit-identically.
@@ -564,62 +556,77 @@ class ProcessFleet:
 
         Raises :class:`SliceError` when a slice fails or its worker dies
         (the pool is respawned to full width first -- later requests
-        succeed), :class:`FleetError` when the fleet is unusable.
+        succeed) or the parent's own part fails (publication, scratch,
+        reduction), :class:`FleetError` when the fleet is unusable.
         """
         if self._pool.closed:
             raise FleetError("fleet is shut down")
         t0 = now()
-        pub = self._ensure_published(entry, cfg)
-        plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
-        atoms = entry.calc.atom_tree()
-        nnz_far = plans.born.far_nodes.size
-        nnz_near = plans.born.near_points.size
-        # Per-request scratch: worker-filled flat Born contributions plus
-        # the parent-reduced radii round 2 reads back.  Zero-filled so
-        # rows no slice covers (there are none) could never read junk.
-        scratch = SharedArrayBundle.create({
-            "born_far": np.zeros(max(nnz_far, 1)),
-            "born_near": np.zeros(max(nnz_near, 1)),
-            "born_sorted": np.zeros(atoms.tree.npoints),
-        })
-        head = (pub.bundle.name, pub.bundle.layout, pub.plan_meta,
-                pub.params, pub.mol_name, self._live_names(), scratch.name,
-                scratch.layout)
         cold: list[bool] = []
-
-        def born_phase(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-            res = self._run_slice_phase(req_id, "born_slice", head, bounds)
-            cold.extend(r[6] for r in res)
-            if checks_enabled():
-                # Merge every slice's declared scratch writes; any overlap
-                # between two ranks fails the request.
-                races = find_races([i for r in res if r[7] is not None
-                                    for i in intents_from_payload(r[7])])
-                if races:
-                    raise SliceError(
-                        f"request {req_id}: overlapping scratch writes "
-                        f"across slices: {races[0].describe()}")
-            return (scratch.view("born_far")[:nnz_far],
-                    scratch.view("born_near")[:nnz_near])
-
-        def epol_phase(bounds: Bounds,
-                       born_sorted: np.ndarray) -> list[RangeTerms]:
-            scratch.view("born_sorted")[:] = born_sorted
-            res = self._run_slice_phase(req_id, "epol_slice", head, bounds)
-            cold.extend(r[8] for r in res)
-            return [r[3:7] for r in res]
-
         try:
-            terms = evaluate_ranges(
-                plans, atoms, born_phase, epol_phase, nparts=self.nworkers,
-                max_radius=2.0 * entry.molecule.bounding_radius,
-                eps_epol=cfg.eps_epol)
-            energy = epol_from_pair_sum(
-                fold_pair_terms(terms.far, terms.near),
-                epsilon_solvent=pub.params.epsilon_solvent)
-        finally:
-            scratch.close()
-            scratch.unlink()
+            pub = self._ensure_published(entry, cfg)
+            plans = entry.plans_for(cfg.eps_born, cfg.eps_epol)
+            atoms = entry.calc.atom_tree()
+            nnz_far = plans.born.far_nodes.size
+            nnz_near = plans.born.near_points.size
+            # Per-request scratch: worker-filled flat Born contributions
+            # plus the parent-reduced radii round 2 reads back.
+            # Zero-filled so rows no slice covers (there are none) could
+            # never read junk.
+            scratch = SharedArrayBundle.create({
+                "born_far": np.zeros(max(nnz_far, 1)),
+                "born_near": np.zeros(max(nnz_near, 1)),
+                "born_sorted": np.zeros(atoms.tree.npoints),
+            })
+            head = (pub.bundle.name, pub.bundle.layout, pub.plan_meta,
+                    pub.params, pub.mol_name, self._live_names(),
+                    scratch.name, scratch.layout)
+
+            def born_phase(bounds: Bounds
+                           ) -> tuple[np.ndarray, np.ndarray]:
+                res = self._run_slice_phase(req_id, "born_slice", head,
+                                            bounds)
+                cold.extend(r[6] for r in res)
+                if checks_enabled():
+                    # Merge every slice's declared scratch writes; any
+                    # overlap between two ranks fails the request.
+                    races = find_races([
+                        i for r in res if r[7] is not None
+                        for i in intents_from_payload(r[7])])
+                    if races:
+                        raise SliceError(
+                            f"request {req_id}: overlapping scratch "
+                            f"writes across slices: {races[0].describe()}")
+                return (scratch.view("born_far")[:nnz_far],
+                        scratch.view("born_near")[:nnz_near])
+
+            def epol_phase(bounds: Bounds,
+                           born_sorted: np.ndarray) -> list[RangeTerms]:
+                scratch.view("born_sorted")[:] = born_sorted
+                res = self._run_slice_phase(req_id, "epol_slice", head,
+                                            bounds)
+                cold.extend(r[8] for r in res)
+                return [r[3:7] for r in res]
+
+            try:
+                terms = evaluate_ranges(
+                    plans, atoms, born_phase, epol_phase,
+                    nparts=self.nworkers,
+                    max_radius=2.0 * entry.molecule.bounding_radius,
+                    eps_epol=cfg.eps_epol)
+                energy = epol_from_pair_sum(
+                    fold_pair_terms(terms.far, terms.near),
+                    epsilon_solvent=pub.params.epsilon_solvent)
+            finally:
+                scratch.close()
+                scratch.unlink()
+        except FleetError:
+            raise  # a SliceError already, or the fleet is unusable
+        except Exception as err:
+            # Anything else failed in this parent, for this request only.
+            raise SliceError(
+                f"sliced request {req_id} failed: "
+                f"{traceback.format_exc()}") from err
         return EvalResult(energy=energy, worker=-1,
                           eval_seconds=now() - t0, cold_attach=any(cold),
                           mode="sliced", nslices=terms.nslices,

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ..analysis_static.flow.contracts import array_contract
 from ..core.binning import build_binning
 from ..core.born import (AtomTreeData, BornPartial, QuadTreeData,
                          push_integrals_to_atoms)
@@ -61,8 +60,6 @@ def slice_bounds(weights: np.ndarray, nslices: int
     return [(int(lo), int(hi)) for lo, hi in bounds if hi > lo]
 
 
-@array_contract(far_flat="(nnz_far,) float64 view-ok",
-                near_flat="(nnz_near,) float64 view-ok")
 def reduce_born_flat(plan: InteractionPlan, atoms: AtomTreeData,
                      far_flat: np.ndarray, near_flat: np.ndarray
                      ) -> BornPartial:
@@ -84,7 +81,6 @@ def reduce_born_flat(plan: InteractionPlan, atoms: AtomTreeData,
     return partial
 
 
-@array_contract(born_sorted="(npoints,) float64 view-ok")
 def epol_nbins(born_sorted: np.ndarray, eps_epol: float) -> int:
     """The energy binning width for a Born-radii vector -- what
     ``row_pair_weights(nbins=...)`` needs to weigh E_pol rows without
@@ -92,8 +88,6 @@ def epol_nbins(born_sorted: np.ndarray, eps_epol: float) -> int:
     return int(build_binning(born_sorted, eps_epol).nbins)
 
 
-@array_contract(far_terms="(nrows,) float64 view-ok",
-                near_terms="(nrows,) float64 view-ok")
 def fold_pair_terms(far_terms: np.ndarray,
                     near_terms: np.ndarray) -> float:
     """The serial pair-sum fold over full-plan per-row term arrays:
@@ -174,7 +168,6 @@ class LocalRanges:
         return cls(entry.plans_for(eps_born, eps_epol),
                    entry.calc.atom_tree(), entry.calc.quad_tree(), eps_epol)
 
-    @array_contract(far="(?,) float64 view-ok", near="(?,) float64 view-ok")
     def born_phase(self, bounds: Bounds, far: np.ndarray | None = None,
                    near: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +184,6 @@ class LocalRanges:
                              near[near_span], row_range=(lo, hi))
         return far, near
 
-    @array_contract(born_sorted="(npoints,) float64 view-ok")
     def epol_phase(self, bounds: Bounds,
                    born_sorted: np.ndarray) -> list[RangeTerms]:
         """Per-row E_pol terms of each range in ``bounds``."""

@@ -2,7 +2,7 @@
 
 Thin executable alias for :mod:`repro.analysis_static.verify.cli`; see
 ``docs/ANALYSIS.md`` for the check catalogue (effect inference,
-shared-memory typestate, static collective-matching).
+shared-memory typestate, protocol model checking).
 """
 
 from .analysis_static.verify.cli import main

@@ -10,12 +10,11 @@ Acceptance criteria covered here:
   ``record_events``) are behaviours of the models -- conformance is a
   runtime test, not a promise;
 * seeded mutations of the real sources (dropped future rejection,
-  dropped close-before-unlink, dropped death detection, off-by-one
-  slice bounds) each produce the matching RV4xx/RV5xx finding with a
+  dropped done event, dropped close-before-unlink, dropped death
+  detection) each produce the matching RV4xx finding with a
   counterexample interleaving;
-* the static disjointness proof and the ``REPRO_CHECKS=1`` runtime race
-  detector agree: both clean, with sliced energies bit-identical to the
-  cold serial driver.
+* a sliced request passes the ``REPRO_CHECKS=1`` runtime race detector
+  with an energy bit-identical to the cold serial driver.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import pytest
 from repro.analysis_static.model.annotations import (events_for,
                                                      protocol_marks,
                                                      record_events)
-from repro.analysis_static.model.disjoint import prove
 from repro.analysis_static.model.machine import INVARIANT
 from repro.analysis_static.model.protocols import (LOST_FUTURE, SPECS,
                                                    alphabet,
@@ -38,7 +36,7 @@ from repro.analysis_static.model.protocols import (LOST_FUTURE, SPECS,
                                                    build_router_model,
                                                    build_scheduler_model,
                                                    build_shm_model)
-from repro.analysis_static.verify import run_verify
+from repro.analysis_static.verify import CHECK_FAMILIES, run_verify
 from repro.analysis_static.verify.program import Program
 from repro.core.driver import PolarizationEnergyCalculator
 from repro.molecule.generators import protein_blob
@@ -198,7 +196,7 @@ class TestRuntimeConformance:
 
 
 # ----------------------------------------------------------------------
-# mutations: each seeded protocol bug yields its RV4xx/RV5xx finding
+# mutations: each seeded protocol bug yields its RV4xx finding
 # ----------------------------------------------------------------------
 def _mutate(tmp_path: Path, source: Path, old: str, new: str) -> Path:
     text = source.read_text()
@@ -262,91 +260,34 @@ class TestSeededMutations:
     def test_dropped_close_before_unlink_is_a_lifecycle_bug(self, tmp_path):
         mutated = _mutate(
             tmp_path, SRC / "serve" / "fleet.py",
-            "        finally:\n"
-            "            scratch.close()\n"
-            "            scratch.unlink()",
-            "        finally:\n"
-            "            scratch.unlink()")
+            "            finally:\n"
+            "                scratch.close()\n"
+            "                scratch.unlink()",
+            "            finally:\n"
+            "                scratch.unlink()")
         found = _findings(mutated, ["RV404", "RV405"])
         assert any("no longer closes the segment before unlinking" in m
                    for m in found.get("RV405", []))
         assert any("unlink-while-mapped" in m
                    for m in found.get("RV404", []))
 
-    def test_unforced_last_cut_refutes_the_chain_lemma(self, tmp_path):
-        mutated = _mutate(
-            tmp_path, SRC / "octree" / "partition.py",
-            "cuts[-1] = n", "cuts[-1] = n - 1")
-        found = _findings(mutated, ["RV501"])
-        assert any("chain:segment_by_weight" in m
-                   and "last cut is not forced to n" in m
-                   for m in found.get("RV501", []))
-
-    def test_span_off_by_one_refutes_the_span_lemma(self, tmp_path):
-        # Off by one at the endpoint read, or in the span built from it.
-        for old, new, why in (
-                ("f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])",
-                 "f0, f1 = int(plan.far_start[lo]), "
-                 "int(plan.far_start[hi]) + 1",
-                 "not a plain `int(A[row])` read"),
-                ("return slice(f0, f1), slice(n0, n1)",
-                 "return slice(f0, f1 + 1), slice(n0, n1)",
-                 "arithmetic on a span endpoint")):
-            mutated = _mutate(tmp_path, SRC / "plan" / "executor.py", old,
-                              new)
-            found = _findings(mutated, ["RV502"])
-            assert any("span:born-spans" in m and why in m
-                       for m in found.get("RV502", [])), new
-
-    def test_widened_donation_filter_refutes_the_cover_lemma(self, tmp_path):
-        # Donation cuts with slice_bounds, like the fleets.  `hi >= lo`
-        # keeps empty ranges: still a cover, but workers and donees get
-        # zero-row assignments the protocols never acknowledge.
-        mutated = _mutate(
-            tmp_path, SRC / "serve" / "sliced.py",
-            "if hi > lo", "if hi >= lo")
-        found = _findings(mutated, ["RV501"])
-        assert any("chain:slice_bounds" in m
-                   and "empty-segment filter" in m
-                   for m in found.get("RV501", []))
-
-    def test_unsnapped_key_cut_refutes_the_cover_lemma(self, tmp_path):
-        mutated = _mutate(
-            tmp_path, SRC / "octree" / "partition.py",
-            "bounds[-1] = (bounds[-1][0], n)", "pass")
-        found = _findings(mutated, ["RV504"])
-        assert any("key-range:chain" in m
-                   and "final cut is not re-forced to n" in m
-                   for m in found.get("RV504", []))
-
     def test_unmutated_copies_stay_clean(self, tmp_path):
         # The tmp-copy harness itself must not manufacture findings.
         for rel in ("serve/scheduler.py", "serve/client.py",
-                    "serve/fleet.py", "serve/sliced.py",
-                    "octree/partition.py", "plan/executor.py",
-                    "parallel/procpool/pool.py"):
+                    "serve/fleet.py", "parallel/procpool/pool.py"):
             shutil.copy(SRC / rel, tmp_path / Path(rel).name)
-        result = run_verify(
-            [tmp_path],
-            checks=["RV401", "RV402", "RV403", "RV404", "RV405",
-                    "RV501", "RV502", "RV503", "RV504"])
+        result = run_verify([tmp_path], checks=CHECK_FAMILIES["model"])
         assert result.active == [], [f.message for f in result.active]
 
 
 # ----------------------------------------------------------------------
-# cross-validation: static proof <-> runtime race detector
+# runtime race detector on a sliced request
 # ----------------------------------------------------------------------
 class TestStaticDynamicAgreement:
-    def test_all_disjointness_lemmas_hold_on_shipped_sources(self):
-        steps = prove(Program.load([SRC]))
-        assert len(steps) == 6
-        assert all(s.ok for s in steps), [
-            (s.name, s.detail) for s in steps if not s.ok]
-
     def test_checked_sliced_run_agrees_with_the_proof(self, monkeypatch):
-        """The race detector dynamically re-checks what the prover showed
-        statically; both must pass, and the energy must be bit-identical
-        to the cold serial driver."""
+        """Under ``REPRO_CHECKS=1`` the race detector re-checks that the
+        slices write disjoint spans; the request must pass it, and the
+        energy must be bit-identical to the cold serial driver."""
         monkeypatch.setenv("REPRO_CHECKS", "1")
         molecule = protein_blob(150, seed=31)
         cold = PolarizationEnergyCalculator(molecule).run().energy

@@ -119,6 +119,16 @@ class TestPlanner:
         broken = InteractionPlan.from_arrays(born_plan.meta(), arrays)
         with pytest.raises(ValueError):
             broken.validate()
+        # 64-bit end to end: a narrowed index, CSR or distance array is
+        # rejected even where its values would still fit.
+        for name, dtype in (("near_points", np.int32),
+                            ("far_start", np.int32),
+                            ("far_dist", np.float32)):
+            arrays = born_plan.as_arrays()
+            arrays[name] = arrays[name].astype(dtype)
+            narrowed = InteractionPlan.from_arrays(born_plan.meta(), arrays)
+            with pytest.raises(ValueError, match=name):
+                narrowed.validate()
 
     def test_counters_synthesised_without_execution(self, small_calc,
                                                     born_plan):

@@ -25,8 +25,6 @@ BAD_FIXTURES = {
     "RV102": (FIXTURES / "bad_declared.py", {"RV102"}),
     "RV201": (FIXTURES / "bad_shm.py",
               {"RV201", "RV202", "RV203", "RV204", "RV205", "RV206"}),
-    "RV301": (FIXTURES / "bad_collective_divergence.py", {"RV301"}),
-    "RV302": (FIXTURES / "bad_rank_loop.py", {"RV302"}),
 }
 
 
@@ -56,8 +54,8 @@ class TestRepoIsClean:
 
 class TestExecutorPurityProof:
     """The acceptance claim: plan executors and energy kernels are
-    statically effect-free -- no clock, RNG, IO, collective or
-    shared-memory effect on any call path."""
+    statically effect-free -- no clock, RNG, IO or shared-memory effect
+    on any call path."""
 
     PURE_FUNCTIONS = (
         "repro.plan.executor.execute_born_plan",
@@ -96,24 +94,24 @@ class TestFixtures:
         assert check_id in fired, f"{check_id} fixture produced {fired}"
         assert fired <= expected, f"unexpected checks: {fired - expected}"
 
-    @pytest.mark.parametrize("name", ["good_collectives.py", "good_shm.py"])
+    @pytest.mark.parametrize("name", ["good_shm.py"])
     def test_good_fixture_is_clean(self, name):
         result = run_verify([FIXTURES / name])
         assert result.active == [], \
             "\n".join(f.format() for f in result.active)
 
     def test_breaking_a_clean_function_is_caught(self, tmp_path):
-        """Regression: moving a hoisted collective into a rank branch of
-        the *passing* fixture must produce RV301."""
-        good = (FIXTURES / "good_collectives.py").read_text()
+        """Regression: dropping the attacher's close from the *passing*
+        fixture must produce RV201."""
+        good = (FIXTURES / "good_shm.py").read_text()
         broken = good.replace(
-            "    total = backend.allreduce(arr)\n    if rank == 0:",
-            "    if rank == 0:\n        total = backend.allreduce(arr)", 1)
+            "    value = seg.buf[0]\n    seg.close()\n",
+            "    value = seg.buf[0]\n", 1)
         assert broken != good
-        target = tmp_path / "broken_collectives.py"
+        target = tmp_path / "broken_shm.py"
         target.write_text(broken)
         fired = {f.check for f in run_verify([target]).active}
-        assert "RV301" in fired
+        assert "RV201" in fired
 
 
 class TestSuppressions:
@@ -137,19 +135,18 @@ class TestSuppressions:
 
 class TestAnnotations:
     def test_decorator_is_runtime_noop_and_introspectable(self):
-        @declares_effects("CLOCK", "COLLECTIVE(allreduce)")
+        @declares_effects("CLOCK", "SHM_ATTACH")
         def f() -> int:
             return 3
 
         assert f() == 3
-        assert declared_effects_of(f) == frozenset(
-            {"CLOCK", "COLLECTIVE(allreduce)"})
+        assert declared_effects_of(f) == frozenset({"CLOCK", "SHM_ATTACH"})
 
     def test_invalid_effect_rejected_at_decoration(self):
         with pytest.raises(ValueError):
             declares_effects("NETWORK")
         with pytest.raises(ValueError):
-            declares_effects("COLLECTIVE(gossip)")
+            declares_effects("COLLECTIVE(allreduce)")
 
 
 class TestBaseline:
@@ -177,9 +174,9 @@ class TestCLI:
         assert "repro-verify: clean" in proc.stdout
 
     def test_bad_fixture_exits_one(self):
-        proc = run_cli(str(BAD_FIXTURES["RV301"][0]))
+        proc = run_cli(str(BAD_FIXTURES["RV101"][0]))
         assert proc.returncode == 1
-        assert "RV301" in proc.stdout
+        assert "RV101" in proc.stdout
 
     def test_json_format(self):
         proc = run_cli(str(BAD_FIXTURES["RV101"][0]), "--format", "json")
@@ -203,8 +200,8 @@ class TestCLI:
             == BAD_FIXTURES["RV201"][1]
 
     def test_checks_filter(self):
-        proc = run_cli(str(BAD_FIXTURES["RV201"][0]), "--checks", "RV301")
-        assert proc.returncode == 0  # shm fixture has no collective issue
+        proc = run_cli(str(BAD_FIXTURES["RV201"][0]), "--checks", "RV101")
+        assert proc.returncode == 0  # shm fixture has no purity issue
 
     def test_unknown_check_rejected(self):
         proc = run_cli("--checks", "RV999")
@@ -218,7 +215,7 @@ class TestCLI:
 
     def test_baseline_ratchets(self, tmp_path):
         base = tmp_path / "baseline.json"
-        fixture = str(BAD_FIXTURES["RV301"][0])
+        fixture = str(BAD_FIXTURES["RV101"][0])
         wrote = run_cli(fixture, "--baseline", str(base), "--write-baseline")
         assert wrote.returncode == 0
         again = run_cli(fixture, "--baseline", str(base))

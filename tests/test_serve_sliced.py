@@ -11,11 +11,15 @@ Acceptance criteria covered here:
   provenance on the future and in the metrics;
 * a worker dying mid-slice surfaces a clear :class:`SliceError` (no hang,
   no lost future), the fleet respawns the dead rank, subsequent requests
-  succeed, and ``/dev/shm`` stays clean.
+  succeed, and ``/dev/shm`` stays clean;
+* a failure in the parent's own part of a request (a full ``/dev/shm``
+  at publication) rejects that request alone, batched or sliced, and the
+  scheduler keeps serving.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from repro.core.driver import PolarizationEnergyCalculator
 from repro.serve import (EpolServer, EpsConfig, InlineFleet, MODE_BATCHED,
                          MODE_SLICED, MoleculeRegistry, ProcessFleet,
                          ServeClient, ServeConfig, ServeMetrics, SliceError)
+from repro.serve import fleet as fleet_module
 from repro.serve.fleet import CRASH_NEXT
 from repro.molecule.generators import protein_blob
 
@@ -332,3 +337,38 @@ class TestSliceFaults:
         assert stats["respawns"] >= 1
         assert stats["modes"]["sliced"]["failed"] >= 1
         assert stats["modes"]["sliced"]["completed"] >= 2
+
+    @pytest.mark.parametrize("mode", [MODE_BATCHED, MODE_SLICED])
+    def test_parent_side_failure_rejects_one_request(self, mode, entries,
+                                                     registry, cold_small,
+                                                     monkeypatch):
+        """A publication that fails in the parent (``OSError(ENOSPC)``, as
+        a full ``/dev/shm`` gives) rejects that request's future; the
+        scheduler thread survives and serves the next request exactly."""
+        _, small = entries
+        before = _segments(os.listdir(SHM_DIR))
+        threshold = 1e-6 if mode == MODE_SLICED else None
+        cfg = ServeConfig(max_batch=8, max_wait_seconds=0.001,
+                          slice_threshold=threshold)
+        server = EpolServer(fleet=ProcessFleet(2), registry=registry,
+                            config=cfg)
+        create = fleet_module.SharedArrayBundle.create
+        calls: list[int] = []
+
+        def full_once(arrays):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return create(arrays)
+
+        monkeypatch.setattr(fleet_module.SharedArrayBundle, "create",
+                            staticmethod(full_once))
+        with server:
+            client = ServeClient(server)
+            failed = client.submit(key=small.key, retries=100)
+            assert isinstance(failed.exception(timeout=30.0), Exception)
+            assert server._thread is not None and server._thread.is_alive()
+            fut = client.submit(key=small.key, retries=100)
+            assert fut.result(timeout=300.0) == cold_small
+        assert fut.detail["mode"] == mode
+        assert _segments(os.listdir(SHM_DIR)) <= before

@@ -8,7 +8,8 @@ Three invariants the sliced serving path leans on:
   *raises* the bar for slicing;
 * :func:`repro.serve.sliced.slice_bounds` partitions ``[0, nrows)``
   exactly -- every row in exactly one contiguous range, for any
-  non-negative weight profile and any worker count;
+  non-negative weight profile and any worker count -- and keeps every
+  non-empty range of :func:`~repro.octree.partition.segment_by_weight`;
 * the served energy is invariant to how many slices the plan is cut
   into, and to the order the ranges execute in (the parent replays the
   serial reduction, so routing, fleet width and worker timing can only
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.driver import PolarizationEnergyCalculator
 from repro.core.energy import epol_from_pair_sum
 from repro.molecule.generators import protein_blob
+from repro.octree.partition import segment_by_weight
 from repro.serve import (EpsConfig, InlineFleet, LocalRanges, MODE_BATCHED,
                          MODE_SLICED, MoleculeRegistry, decide_mode,
                          evaluate_ranges, fold_pair_terms, slice_bounds)
@@ -101,6 +103,18 @@ class TestSliceBounds:
         n = len(weights)
         bounds = slice_bounds(np.asarray(weights, dtype=np.int64), 1)
         assert bounds == ([(0, n)] if n else [])
+
+    @given(weights=st.lists(st.floats(min_value=0.0, max_value=1e6,
+                                      allow_nan=False), max_size=200),
+           nslices=st.integers(min_value=1, max_value=32))
+    @settings(max_examples=200, deadline=None)
+    def test_slice_bounds_only_filters_empties(self, weights, nslices):
+        """``slice_bounds`` is ``segment_by_weight``'s cut with the empty
+        ranges dropped -- it never moves a cut."""
+        w = np.asarray(weights, dtype=float)
+        raw = segment_by_weight(w, nslices)
+        assert slice_bounds(w, nslices) == [(lo, hi) for lo, hi in raw
+                                            if hi > lo]
 
 
 #: Small but multi-row molecule; the energy property re-slices it.

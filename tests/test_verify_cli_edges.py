@@ -4,13 +4,13 @@ Covered here (the CLI contract the CI jobs and the pre-commit hook rely
 on):
 
 * ``--format sarif`` emits a schema-valid SARIF 2.1.0 document whose rule
-  catalogue matches :data:`CHECKS` exactly (including the RV4xx/RV5xx
-  model checks);
+  catalogue matches :data:`CHECKS` exactly (including the RV4xx model
+  checks);
 * ``--baseline`` accepts an empty-fingerprint file, reports malformed /
   truly-empty files as a usage error (exit 2) instead of a traceback,
   and *warns* about stale fingerprints without failing the run;
-* ``--check`` expands family names (``model``, ``disjoint``, ...) and
-  stays an alias of ``--checks``; unknown names exit 2.
+* ``--check`` expands family names (``effects``, ``shm``, ``model``)
+  and stays an alias of ``--checks``; unknown names exit 2.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ class TestSarifShape:
 
     def test_model_checks_present_in_catalogue(self, sarif):
         ids = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        for family in ("model", "disjoint"):
-            assert set(CHECK_FAMILIES[family]) <= ids
+        assert set(CHECK_FAMILIES["model"]) <= ids
 
 
 class TestBaselineEdges:
@@ -121,18 +120,19 @@ class TestBaselineEdges:
 
 class TestCheckFamilies:
     def test_family_names_expand(self, tmp_path):
-        proc = run_cli(str(SRC / "repro"), "--check", "model,disjoint")
+        proc = run_cli(str(SRC / "repro"), "--check", "model,shm")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
     def test_families_partition_the_catalogue(self):
+        assert set(CHECK_FAMILIES) == {"effects", "shm", "model"}
         members = [c for fam in CHECK_FAMILIES.values() for c in fam]
         assert sorted(members) == sorted(set(members)), "overlapping families"
         assert set(members) == set(CHECKS) - {"RV001"}
 
     def test_family_mixes_with_check_ids(self):
         proc = run_cli(str(FIXTURES / "good_shm.py"),
-                       "--check", "disjoint,RV201")
+                       "--check", "model,RV201")
         assert proc.returncode == 0
 
     def test_checks_flag_still_accepts_ids(self):
@@ -148,5 +148,5 @@ class TestCheckFamilies:
     def test_list_checks_includes_model_families(self):
         proc = run_cli("--list-checks")
         assert proc.returncode == 0
-        for check in ("RV401", "RV405", "RV501", "RV503"):
+        for check in ("RV401", "RV405", "RV406"):
             assert check in proc.stdout
