@@ -64,7 +64,7 @@ def _run_backend(args: argparse.Namespace) -> int:
             from repro.parallel.machine import RankLayout
             layout = RankLayout(nodes=1, ranks_per_node=P, threads_per_rank=1)
             t0 = time.perf_counter()
-            sim = run_parallel(calc, layout, numerics="full")
+            sim = run_parallel(calc, layout)
             walls[P] = sim.sim_seconds
             energies[P] = sim.energy
             record["timings"][str(P)] = {

@@ -21,7 +21,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=("repro-lint: repo-specific determinism rules "
-                     "(REP001..REP007) over Python sources."))
+                     f"({min(RULES)}..{max(RULES)}) over Python sources."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=("text", "json"),

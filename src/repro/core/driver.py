@@ -9,10 +9,10 @@ This is the entry point a downstream user should reach for::
     result = calc.run()
     print(result.energy, "kcal/mol")
 
-It wires together surface sampling, octree construction, the Born-radii
-traversal and the energy traversal -- the serial (OCT_CILK-algorithm)
-pipeline.  The distributed variants live in :mod:`repro.parallel.hybrid`
-and reuse this object's prepared state.
+It wires together surface sampling, octree construction, the interaction
+plans and the one row-range pipeline of :mod:`repro.serve.sliced`, run on
+a single in-thread range.  The distributed variants live in
+:mod:`repro.parallel.hybrid` and reuse this object's prepared state.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 from ..molecule.molecule import Molecule
 from ..runtime.instrument import WorkCounters
 from ..surface.sas import SurfaceQuadrature, build_surface
-from .born import (AtomTreeData, BornPartial, QuadTreeData, approx_integrals,
-                   push_integrals_to_atoms)
-from .energy import EnergyContext, epol_from_pair_sum
+from .born import AtomTreeData, QuadTreeData
+from .energy import EnergyContext
 from .error import percent_error
 from .naive import naive_reference
 from .params import ApproximationParams
@@ -76,7 +75,6 @@ class RunProfile:
     born_sorted: np.ndarray
     born_counters: WorkCounters
     energy_counters: WorkCounters
-    pair_sum: float
     energy: float
 
 
@@ -124,8 +122,6 @@ class PolarizationEnergyCalculator:
     surface: SurfaceQuadrature | None = None
     _atoms: AtomTreeData | None = field(default=None, repr=False)
     _quad: QuadTreeData | None = field(default=None, repr=False)
-    _born_sorted: np.ndarray | None = field(default=None, repr=False)
-    _born_counters: WorkCounters | None = field(default=None, repr=False)
     _profile: RunProfile | None = field(default=None, repr=False)
     _plan_cache: object | None = field(default=None, repr=False)
 
@@ -228,59 +224,40 @@ class PolarizationEnergyCalculator:
         """Execute the full pipeline once, capturing per-leaf work profiles
         (cached; see :class:`RunProfile`).
 
-        Plan-based: the cached whole-tree plans are built (or reused) and
-        executed batched; per-leaf counters are synthesised from the plan
-        rows -- integer-exact matches of what the per-leaf loops count.
+        The cached whole-tree plans run through the one row-range
+        pipeline (:func:`~repro.serve.sliced.evaluate_local`) as a single
+        in-thread range -- exactly what a batched request runs.  The
+        counters come from the plan rows: integer-exact matches of what
+        the per-leaf loops count.
         """
         if self._profile is None:
-            from ..plan import execute_born_plan, execute_epol_plan
-            atoms = self.atom_tree()
-            quad = self.quad_tree()
-            born_per_leaf: list[WorkCounters] = []
-            partial = execute_born_plan(self.born_plan(), atoms, quad,
-                                        per_leaf=born_per_leaf)
-            born_sorted = push_integrals_to_atoms(
-                atoms, partial,
-                max_radius=2.0 * self.molecule.bounding_radius)
-            self._born_sorted = born_sorted
-            self._born_counters = partial.counters.copy()
-            ectx = EnergyContext.build(atoms, born_sorted,
-                                       self.params.eps_epol)
-            energy_per_leaf: list[WorkCounters] = []
-            epartial = execute_epol_plan(self.epol_plan(), ectx,
-                                         per_leaf=energy_per_leaf)
+            from ..serve.sliced import LocalRanges, epol_nbins, evaluate_local
+            plans = self.plans()
+            energy, terms = evaluate_local(
+                self.molecule,
+                LocalRanges(plans, self.atom_tree(), self.quad_tree(),
+                            self.params.eps_epol),
+                self.params, nparts=1)
+            nbins = epol_nbins(terms.born_sorted, self.params.eps_epol)
+            born, epol = plans.born, plans.epol
             self._profile = RunProfile(
-                born_per_leaf=born_per_leaf,
-                energy_per_leaf=energy_per_leaf,
-                born_sorted=born_sorted,
-                born_counters=partial.counters,
-                energy_counters=epartial.counters,
-                pair_sum=epartial.pair_sum,
-                energy=epol_from_pair_sum(
-                    epartial.pair_sum,
-                    epsilon_solvent=self.params.epsilon_solvent),
+                born_per_leaf=born.row_counters(0, born.nrows),
+                energy_per_leaf=epol.row_counters(0, epol.nrows, nbins=nbins),
+                born_sorted=terms.born_sorted,
+                born_counters=born.counters(),
+                energy_counters=epol.counters(nbins=nbins),
+                energy=energy,
             )
         return self._profile
 
     def born_radii(self) -> np.ndarray:
         """Born radii in original atom order (cached after first call)."""
-        if self._born_sorted is None:
-            self.profile()
-        assert self._born_sorted is not None
-        return self.atom_tree().to_original_order(self._born_sorted)
-
-    def born_partial(self, q_leaves: np.ndarray) -> BornPartial:
-        """One rank's share of the Born phase (used by the parallel
-        runners); see :func:`repro.core.born.approx_integrals`."""
-        return approx_integrals(self.atom_tree(), self.quad_tree(),
-                                q_leaves, self.params.eps_born,
-                                mac_variant=self.params.born_mac_variant)
+        return self.atom_tree().to_original_order(self.profile().born_sorted)
 
     def energy_context(self) -> EnergyContext:
         """Energy-phase context (tree + binned charge histograms)."""
-        self.born_radii()  # ensures _born_sorted
-        assert self._born_sorted is not None
-        return EnergyContext.build(self.atom_tree(), self._born_sorted,
+        return EnergyContext.build(self.atom_tree(),
+                                   self.profile().born_sorted,
                                    self.params.eps_epol)
 
     def run(self) -> EpolResult:
@@ -306,55 +283,45 @@ class PolarizationEnergyCalculator:
         with wall-clock timing.
 
         ``"serial"`` runs it on an :class:`~repro.serve.fleet.InlineFleet`
-        of width 1, ``"real"`` on a one-shot
-        :class:`~repro.serve.fleet.ProcessFleet` of ``workers`` OS
-        processes with the molecule and plans in shared memory.  Both run
-        the one row-range pipeline
-        (:func:`~repro.serve.sliced.evaluate_ranges`), whose reductions
-        replay the serial scatter and fold, so the energy and radii equal
-        :meth:`run`'s bit for bit at every ``workers``.
+        that cuts ``workers`` ranges and runs them in turn in this thread,
+        ``"real"`` on a one-shot :class:`~repro.serve.fleet.ProcessFleet`
+        of ``workers`` OS processes with the molecule and plans in shared
+        memory.  Both run the one row-range pipeline
+        (:func:`~repro.serve.sliced.evaluate_ranges`), whose reductions do
+        not depend on the cut, so the energy and radii equal :meth:`run`'s
+        bit for bit at every ``workers``.
         """
         import time as _time
 
-        from ..serve.fleet import InlineFleet, ProcessFleet
+        from ..serve.fleet import EpsConfig, InlineFleet, ProcessFleet
+        from ..serve.registry import RegistryEntry, content_key
         from ..serve.sliced import epol_nbins
 
-        if backend == "serial":
-            if workers != 1:
-                raise ValueError("the serial backend has exactly 1 worker")
-        elif backend != "real":
+        if backend not in ("serial", "real"):
             raise ValueError(f"unknown backend {backend!r}")
         t0 = _time.perf_counter()
         plans = self.plans()
         fleet: InlineFleet | ProcessFleet = (
-            InlineFleet(1) if backend == "serial" else ProcessFleet(workers))
+            InlineFleet(workers) if backend == "serial"
+            else ProcessFleet(workers))
         try:
             setup_seconds = _time.perf_counter() - t0
             t0 = _time.perf_counter()
-            born_sorted, energy = self._run_sliced(fleet)
+            entry = RegistryEntry(key=content_key(self.molecule, self.params),
+                                  molecule=self.molecule, calc=self)
+            res = fleet.run_sliced(0, entry, EpsConfig.resolve(self.params))
             wall_seconds = _time.perf_counter() - t0
         finally:
             fleet.shutdown()
+        assert res.born_sorted is not None
         counters = plans.born.counters()
         counters.add(plans.epol.counters(
-            nbins=epol_nbins(born_sorted, self.params.eps_epol)))
+            nbins=epol_nbins(res.born_sorted, self.params.eps_epol)))
         return BackendRunResult(
-            backend=backend, nworkers=workers, energy=energy,
-            born_radii=self.atom_tree().to_original_order(born_sorted),
+            backend=backend, nworkers=workers, energy=res.energy,
+            born_radii=self.atom_tree().to_original_order(res.born_sorted),
             counters=counters, setup_seconds=setup_seconds,
             wall_seconds=wall_seconds)
-
-    def _run_sliced(self, fleet) -> tuple[np.ndarray, float]:
-        """This calculator's default configuration as one sliced request
-        on ``fleet``: the sorted Born radii and the energy."""
-        from ..serve.fleet import EpsConfig
-        from ..serve.registry import RegistryEntry, content_key
-
-        entry = RegistryEntry(key=content_key(self.molecule, self.params),
-                              molecule=self.molecule, calc=self)
-        res = fleet.run_sliced(0, entry, EpsConfig.resolve(self.params))
-        assert res.born_sorted is not None
-        return res.born_sorted, res.energy
 
     # ------------------------------------------------------------------
     # validation

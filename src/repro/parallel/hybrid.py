@@ -10,21 +10,12 @@ Three variants, as in Table II:
 The simulated program models time only: every rank schedules its rows'
 work counters through the work-stealing and collective cost models, and
 the collectives carry size-only payloads (the paper's Allreduce,
-Allgather and Reduce, with their real byte counts).  The numbers come
-from a real execution, chosen by the numerics mode.
+Allgather and Reduce, with their real byte counts).
 
-Numerics modes
---------------
-``numerics="full"`` runs the one row-range pipeline
-(:func:`~repro.serve.sliced.evaluate_ranges`) sliced ``P`` ways on an
-:class:`~repro.serve.fleet.InlineFleet`, and cuts the ranks' rows the
-way that fleet does (exact per-row interaction counts) -- the
-ground-truth mode the invariance tests run.
-
-``numerics="cached"`` (default) exploits a property the tests prove: with
-node-based work division, per-leaf work profiles and all numeric results
-are independent of the partition.  The pipeline is executed once
-(:meth:`~repro.core.driver.PolarizationEnergyCalculator.profile`), and
+The numbers come from one real execution.  With node-based work
+division, per-leaf work profiles and all numeric results are
+independent of the partition, so the pipeline runs once
+(:meth:`~repro.core.driver.PolarizationEnergyCalculator.profile`) and
 layout studies cut cost-even segments of the cached per-leaf costs.  A
 144-core sweep over a dozen layouts costs one real execution.
 """
@@ -98,8 +89,8 @@ class ParallelRunResult:
     """Outcome of one simulated parallel run.
 
     ``sim_seconds`` is the simulated makespan; ``energy`` and
-    ``born_radii`` are real computed values (identical to the serial
-    algorithm for node-based division).
+    ``born_radii`` are the real computed values of the calculator's
+    :meth:`~repro.core.driver.PolarizationEnergyCalculator.profile`.
     """
 
     variant: str
@@ -114,9 +105,6 @@ class ParallelRunResult:
     node_bytes: int
     steals: int
     oom: bool = False
-    #: Measured wall-clock seconds when the run executed on the real
-    #: process backend (``engine="real"``); NaN for simulated runs.
-    wall_seconds: float = float("nan")
 
     @property
     def total_cores(self) -> int:
@@ -205,43 +193,16 @@ def _prepare(calc: PolarizationEnergyCalculator, layout: RankLayout,
 
 
 def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
-                 config: ParallelRunConfig | None = None, *,
-                 numerics: str = "cached",
-                 engine: str = "sim") -> ParallelRunResult:
+                 config: ParallelRunConfig | None = None) -> ParallelRunResult:
     """Run OCT_MPI (``threads_per_rank == 1``) or OCT_MPI+CILK (> 1) on the
     simulated cluster, following Fig. 4 step by step.
 
     The simulated program schedules per-row work counters through the
     work-stealing and collective cost models with size-only payloads;
-    the energy and radii come from a real execution (see the module
-    docstring for the two numerics modes).
-
-    ``engine="real"`` runs :meth:`~repro.core.driver.
-    PolarizationEnergyCalculator.compute` on ``layout.nranks`` actual OS
-    processes on this machine and reports *measured* wall-clock seconds
-    in both ``sim_seconds`` and ``wall_seconds``.  Threads-per-rank is not
-    meaningful there (one process per rank), and modelled quantities
-    (phase breakdown, comm stats, steals, jitter) are absent.
+    the energy and radii come from the cached real execution (see the
+    module docstring).
     """
-    if numerics not in ("cached", "full"):
-        raise ValueError("numerics must be 'cached' or 'full'")
-    if engine not in ("sim", "real"):
-        raise ValueError("engine must be 'sim' or 'real'")
     config = config or ParallelRunConfig()
-    if engine == "real":
-        if layout.threads_per_rank != 1:
-            raise ValueError("engine='real' runs one process per rank; use "
-                             "threads_per_rank=1 layouts")
-        res = calc.compute(backend="real", workers=layout.nranks)
-        data_bytes = _data_bytes(calc)
-        return ParallelRunResult(
-            variant="OCT_PROC", layout=layout, energy=res.energy,
-            born_radii=res.born_radii, sim_seconds=res.wall_seconds,
-            phase_seconds={}, counters=res.counters,
-            comm=None, data_bytes=data_bytes,
-            node_bytes=config.memory_model.node_bytes(
-                data_bytes, layout.ranks_per_node),
-            steals=0, wall_seconds=res.wall_seconds)
     atoms = calc.atom_tree()
     p = layout.threads_per_rank
     P = layout.nranks
@@ -261,39 +222,16 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
 
     prep = _prepare(calc, layout, config)
     cost = prep.cost
-
-    def seconds(rows: list[WorkCounters]) -> np.ndarray:
-        return np.array([cost.compute_seconds(c) for c in rows])
-
-    if numerics == "cached":
-        profile = calc.profile()
-        born_sorted, energy = profile.born_sorted, profile.energy
-        born_rows = profile.born_per_leaf
-        energy_rows = profile.energy_per_leaf
-        born_secs_all = seconds(born_rows)
-        energy_secs_all = seconds(energy_rows)
-        # With profiled costs in hand, "divide the work as evenly as
-        # possible" (Fig. 4) means cost-even contiguous segments.
-        q_bounds = segment_by_weight(born_secs_all, P)
-        v_bounds = segment_by_weight(energy_secs_all, P)
-    else:
-        # Full numerics: the one row-range pipeline, sliced P ways on an
-        # inline fleet (bit-identical to the serial driver at every P).
-        from ..serve.fleet import InlineFleet
-        from ..serve.sliced import epol_nbins
-        born_sorted, energy = calc._run_sliced(InlineFleet(P))
-        plans = calc.plans()
-        nbins = epol_nbins(born_sorted, calc.params.eps_epol)
-        born_rows = plans.born.row_counters(0, plans.born.nrows)
-        energy_rows = plans.epol.row_counters(0, plans.epol.nrows,
-                                              nbins=nbins)
-        born_secs_all = seconds(born_rows)
-        energy_secs_all = seconds(energy_rows)
-        # The fleet's cut: contiguous rows with near-equal exact
-        # interaction counts (slice_bounds, before dropping empty ranges).
-        q_bounds = segment_by_weight(plans.born.row_pair_weights(), P)
-        v_bounds = segment_by_weight(
-            plans.epol.row_pair_weights(nbins=nbins), P)
+    profile = calc.profile()
+    born_rows = profile.born_per_leaf
+    energy_rows = profile.energy_per_leaf
+    born_secs_all = np.array([cost.compute_seconds(c) for c in born_rows])
+    energy_secs_all = np.array([cost.compute_seconds(c)
+                                for c in energy_rows])
+    # With profiled costs in hand, "divide the work as evenly as
+    # possible" (Fig. 4) means cost-even contiguous segments.
+    q_bounds = segment_by_weight(born_secs_all, P)
+    v_bounds = segment_by_weight(energy_secs_all, P)
 
     def program(ctx: RankContext) -> Generator[Any, Any, dict[str, Any]]:
         rank = ctx.rank
@@ -371,8 +309,8 @@ def run_parallel(calc: PolarizationEnergyCalculator, layout: RankLayout,
     # Phase breakdown reported for the critical (slowest-finishing) rank.
     slowest = int(np.argmax(run.finish_times))
     return ParallelRunResult(
-        variant=variant, layout=layout, energy=energy,
-        born_radii=atoms.to_original_order(born_sorted),
+        variant=variant, layout=layout, energy=profile.energy,
+        born_radii=atoms.to_original_order(profile.born_sorted),
         sim_seconds=run.makespan,
         phase_seconds=run.returns[slowest]["phase_seconds"],
         counters=WorkCounters.merged([r["counters"] for r in run.returns]),
@@ -501,15 +439,15 @@ def simulate_layout_timing(born_leaf_seconds: np.ndarray,
 
 
 def run_variant(calc: PolarizationEnergyCalculator, variant: str, *,
-                cores: int = 12, config: ParallelRunConfig | None = None,
-                numerics: str = "cached") -> ParallelRunResult:
+                cores: int = 12, config: ParallelRunConfig | None = None
+                ) -> ParallelRunResult:
     """Dispatch by variant name on the paper's standard layouts."""
     if variant == "OCT_CILK":
         return run_oct_cilk(calc, nthreads=cores, config=config)
     if variant == "OCT_MPI":
         return run_parallel(calc, layout_for_cores(cores, hybrid=False),
-                            config, numerics=numerics)
+                            config)
     if variant == "OCT_MPI+CILK":
         return run_parallel(calc, layout_for_cores(cores, hybrid=True),
-                            config, numerics=numerics)
+                            config)
     raise ValueError(f"unknown variant {variant!r}")

@@ -28,7 +28,8 @@ def reduce_values(values: Sequence[Any], op: str) -> Any:
         raise ValueError("no values to reduce")
     first = values[0]
     if first is None:
-        # Size-only collectives (cached-numerics mode) carry no payload.
+        # Size-only collectives (the simulated Fig. 4 program) carry no
+        # payload.
         return None
     if isinstance(first, np.ndarray):
         stack = np.stack([np.asarray(v) for v in values])

@@ -364,11 +364,11 @@ def epol_row_terms(plan: InteractionPlan, ctx: EnergyContext, *,
     ``(v, m)`` tiles of ``v`` target and ``m`` kept points.  So only the
     sum over all rows is the Fig. 3 pair sum (to rounding), but each
     element depends only on its row, the plan and the inputs -- not on
-    the range that computed it.  A caller that concatenates disjoint
-    ranges in ascending row order and replays the serial interleaved
-    left fold (far before near within a row) therefore reproduces
-    :func:`execute_epol_plan` over the union bit for bit.  This is the
-    intra-request slice kernel of :mod:`repro.serve.sliced`.
+    the range that computed it.  A caller that places disjoint ranges at
+    their rows and folds them with
+    :func:`~repro.serve.sliced.fold_pair_terms` therefore gets
+    :func:`execute_epol_plan`'s sum over the union bit for bit.  This is
+    the range kernel of :mod:`repro.serve.sliced`.
     """
     lo, hi = _check_plan(plan, "epol", row_range)
     rows = np.arange(lo, hi, dtype=np.int64)
@@ -467,21 +467,18 @@ def execute_epol_plan(plan: InteractionPlan, ctx: EnergyContext, *,
                       per_leaf: list[WorkCounters] | None = None
                       ) -> EpolPartial:
     """APPROX-EPOL over plan rows ``[lo, hi)``, batched: the terms of
-    :func:`epol_row_terms` folded in ascending row order, far before near
-    within a row.  Over a whole plan it agrees with the legacy per-leaf
-    loop to rounding; the counters are the ordered pairs Fig. 3 covers.
+    :func:`epol_row_terms` folded by
+    :func:`~repro.serve.sliced.fold_pair_terms`.  Over a whole plan it
+    agrees with the legacy per-leaf loop to rounding; the counters are
+    the ordered pairs Fig. 3 covers.
     """
+    from ..serve.sliced import fold_pair_terms
+
     lo, hi = _check_plan(plan, "epol", row_range)
     nbins = ctx.binning.nbins
-    counters = plan.counters(lo, hi, nbins=nbins)
     if per_leaf is not None:
         per_leaf.extend(plan.row_counters(lo, hi, nbins=nbins))
-    far_terms, near_terms = epol_row_terms(plan, ctx, row_range=(lo, hi))
-
-    # Ascending row order, far before near within a row -- the fold
-    # every substrate replays (order is the contract).
-    total = 0.0
-    for i in range(hi - lo):  # repro-lint: disable=REP006
-        total += far_terms[i]
-        total += near_terms[i]
-    return EpolPartial(pair_sum=float(total), counters=counters)
+    return EpolPartial(
+        pair_sum=fold_pair_terms(*epol_row_terms(plan, ctx,
+                                                 row_range=(lo, hi))),
+        counters=plan.counters(lo, hi, nbins=nbins))

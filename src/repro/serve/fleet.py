@@ -22,11 +22,11 @@ the fleets only say where its ranges execute.  A batched request is one
 range, run in the scheduler thread or in a worker's ``"run"`` task; a
 sliced request fans weight-balanced ranges over the simulated width
 (inline) or over every worker (process fleet, through a per-request
-scratch segment).  The reductions replay the serial scatter and fold
-verbatim, so a served energy is bit-identical to a cold ``driver.run()``
-of the same configuration regardless of fleet width, batch shape,
-routing mode or arrival order (see ``docs/SERVING.md``, "Intra-request
-parallelism").
+scratch segment).  A cold ``driver.run()`` is the same pipeline on one
+in-thread range, and its reductions do not depend on the cut, so a
+served energy is bit-identical to it regardless of fleet width, batch
+shape, routing mode or arrival order (see ``docs/SERVING.md``,
+"Intra-request parallelism").
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..plan.schema import PLAN_ARRAY_FIELDS
 from ..surface.sas import SurfaceQuadrature
 from .metrics import now
 from .registry import RegistryEntry
-from .sliced import (Bounds, LocalRanges, PairTerms, RangeTerms,
+from .sliced import (Bounds, LocalRanges, RangeTerms, evaluate_local,
                      evaluate_ranges, fold_pair_terms)
 
 #: Molecules one warm worker keeps attached before evicting its oldest.
@@ -121,21 +121,6 @@ class EvalResult:
     born_sorted: np.ndarray | None = None
 
 
-def _evaluate_local(molecule: Molecule, ranges: LocalRanges,
-                    params: ApproximationParams, *,
-                    nparts: int) -> tuple[float, PairTerms]:
-    """The pipeline with every range run in this thread: one range for a
-    batched request (exactly the computation of
-    ``PolarizationEnergyCalculator.profile()``), ``nparts`` for
-    :meth:`InlineFleet.run_sliced`.  Returns the energy and the terms."""
-    terms = evaluate_ranges(ranges.plans, ranges.atoms, ranges.born_phase,
-                            ranges.epol_phase, nparts=nparts,
-                            max_radius=2.0 * molecule.bounding_radius,
-                            eps_epol=ranges.eps_epol)
-    return epol_from_pair_sum(fold_pair_terms(terms.far, terms.near),
-                              epsilon_solvent=params.epsilon_solvent), terms
-
-
 # ----------------------------------------------------------------------
 # in-process fleet ("sim" backend)
 # ----------------------------------------------------------------------
@@ -166,7 +151,7 @@ class InlineFleet:
         for req_id, entry, cfg in items:
             t0 = now()
             try:
-                energy, _ = _evaluate_local(
+                energy, _ = evaluate_local(
                     entry.molecule,
                     LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol),
                     entry.params, nparts=1)
@@ -188,7 +173,7 @@ class InlineFleet:
             raise FleetError("fleet is shut down")
         t0 = now()
         try:
-            energy, terms = _evaluate_local(
+            energy, terms = evaluate_local(
                 entry.molecule,
                 LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol),
                 entry.params, nparts=self.nworkers)
@@ -394,8 +379,8 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
                 state, cold = _cached_state(cache, name, layout, plan_meta,
                                             params, mol_name, live)
                 t0 = now()
-                energy, _ = _evaluate_local(state.molecule, state.ranges,
-                                            state.params, nparts=1)
+                energy, _ = evaluate_local(state.molecule, state.ranges,
+                                           state.params, nparts=1)
                 results.put(("ok", req_id, rank, energy, now() - t0, cold))
             elif kind in ("born_slice", "epol_slice"):
                 (_, req_id, name, layout, plan_meta, params, mol_name,

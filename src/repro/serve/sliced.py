@@ -1,24 +1,24 @@
-"""The row-range pipeline: every served evaluation, on any substrate.
+"""The row-range pipeline: every evaluation, on any substrate.
 
 The paper's Fig. 4 program is one two-phase pipeline whose ranks differ
 only in which rows they own.  :func:`evaluate_ranges` is that pipeline,
-and batched, sliced and donated requests all run it: cut the Born rows
-(:func:`slice_bounds`), let the caller's *substrate* execute the ranges,
-replay the serial scatter (:func:`reduce_born_flat`) and push, cut the
-E_pol rows by their binned weight (:func:`epol_nbins`), let the
-substrate return per-row terms, and hand them back for the serial fold
-(:func:`fold_pair_terms`).  A substrate is a pair of phase callables and
-decides only *where* ranges run: in this thread (:class:`LocalRanges`),
-over process workers through a shared scratch segment, or on donee
-shards.
+and a cold ``driver.run()`` and batched, sliced and donated requests all
+run it: cut the Born rows (:func:`slice_bounds`), let the caller's
+*substrate* execute the ranges, scatter the Born values
+(:func:`reduce_born_flat`) and push, cut the E_pol rows by their binned
+weight (:func:`epol_nbins`), let the substrate return per-row terms, and
+hand them back for the fold (:func:`fold_pair_terms`).  A substrate is a
+pair of phase callables and decides only *where* ranges run: in this
+thread (:class:`LocalRanges`, driven by :func:`evaluate_local`), over
+process workers through a shared scratch segment, or on donee shards.
 
-The reductions replay the *exact* serial operations instead of summing
-scalar partials.  Born values are written once, by position, into the
-spans of :func:`repro.plan.executor.born_spans`, and the one full-range
-``np.add.at`` pair scatters them in the serial row-major order; E_pol
-terms land at their rows and are folded ascending, far before near.  So
-accumulation order is identical to a cold ``driver.run()`` whatever the
-range count, order or placement.  Nothing here reads a clock, starts a
+The reductions never sum scalar partials.  Born values are written
+once, by position, into the spans of
+:func:`repro.plan.executor.born_spans`, and one full-range ``np.add.at``
+pair scatters them in row-major order; E_pol terms land at their rows
+and are folded ascending, far before near.  So the accumulation order,
+and with it every bit of the result, is the same whatever the range
+count, order or placement.  Nothing here reads a clock, starts a
 process or keeps shared state; fleets and router own transport and
 timing.
 """
@@ -33,7 +33,9 @@ import numpy as np
 from ..core.binning import build_binning
 from ..core.born import (AtomTreeData, BornPartial, QuadTreeData,
                          push_integrals_to_atoms)
-from ..core.energy import EnergyContext
+from ..core.energy import EnergyContext, epol_from_pair_sum
+from ..core.params import ApproximationParams
+from ..molecule.molecule import Molecule
 from ..octree.partition import segment_by_weight
 from ..plan import PlanSet
 from ..plan.executor import born_flat_values, born_spans, epol_row_terms
@@ -63,9 +65,9 @@ def slice_bounds(weights: np.ndarray, nslices: int
 def reduce_born_flat(plan: InteractionPlan, atoms: AtomTreeData,
                      far_flat: np.ndarray, near_flat: np.ndarray
                      ) -> BornPartial:
-    """The serial Born scatter over range-filled flat arrays (every
-    value of the full plan, each slot written by exactly one range): the
-    two ``np.add.at`` calls a full-range
+    """The Born scatter over range-filled flat arrays (every value of the
+    full plan, each slot written by exactly one range): the two
+    ``np.add.at`` calls a full-range
     :func:`~repro.plan.executor.execute_born_plan` issues, so the partial
     is bit-identical however the rows were partitioned."""
     if (far_flat.shape != plan.far_nodes.shape
@@ -90,10 +92,11 @@ def epol_nbins(born_sorted: np.ndarray, eps_epol: float) -> int:
 
 def fold_pair_terms(far_terms: np.ndarray,
                     near_terms: np.ndarray) -> float:
-    """The serial pair-sum fold over full-plan per-row term arrays:
-    ascending row order, far before near within a row -- exactly the
-    left fold of :func:`~repro.plan.executor.execute_epol_plan` (IEEE
-    addition is not associative; this order is the contract)."""
+    """The pair-sum fold over per-row term arrays: ascending row order,
+    far before near within a row (IEEE addition is not associative; this
+    order is the contract).  Every E_pol pair sum in the package is
+    folded here, :func:`~repro.plan.executor.execute_epol_plan`'s
+    included."""
     if far_terms.shape != near_terms.shape:
         raise ValueError("far/near term arrays must align row for row")
     total = 0.0
@@ -191,3 +194,18 @@ class LocalRanges:
         return [(lo, hi) + epol_row_terms(self.plans.epol, ctx,
                                           row_range=(lo, hi))
                 for lo, hi in bounds]
+
+
+def evaluate_local(molecule: Molecule, ranges: LocalRanges,
+                   params: ApproximationParams, *,
+                   nparts: int) -> tuple[float, PairTerms]:
+    """The pipeline with every range run in this thread: one range for a
+    cold ``driver.run()`` and a batched request, ``nparts`` for
+    :meth:`~repro.serve.fleet.InlineFleet.run_sliced`.  Returns the
+    energy and the terms."""
+    terms = evaluate_ranges(ranges.plans, ranges.atoms, ranges.born_phase,
+                            ranges.epol_phase, nparts=nparts,
+                            max_radius=2.0 * molecule.bounding_radius,
+                            eps_epol=ranges.eps_epol)
+    return epol_from_pair_sum(fold_pair_terms(terms.far, terms.near),
+                              epsilon_solvent=params.epsilon_solvent), terms

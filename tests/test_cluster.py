@@ -19,7 +19,9 @@ Acceptance criteria covered here:
   :class:`~repro.cluster.metrics.TrafficLedger` priced by
   ``NetworkSpec.p2p_cost``, and ``ServeMetrics.merge`` aggregates
   per-shard metrics without double counting;
-* ``backend="real"`` clusters shut down with no ``/dev/shm`` litter.
+* ``backend="real"`` clusters shut down with no ``/dev/shm`` litter;
+* the zipf request trace is a function of its seed, so every node-count
+  column of the cluster benchmark replays the same stream.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cluster import (ClusterConfig, ClusterRouter, ServeConfig,
                            TrafficLedger, aggregate_metrics, make_cluster)
+from repro.cluster.workload import zipf_trace
 from repro.core.driver import PolarizationEnergyCalculator
 from repro.molecule.generators import protein_blob
 from repro.parallel.machine import LONESTAR4_NETWORK
@@ -360,3 +364,14 @@ class TestLifecycle:
                 assert client.submit(
                     key=key, retries=100).result(timeout=300.0) == reference
         assert _segments(os.listdir(SHM_DIR)) <= before
+
+
+# ----------------------------------------------------------------------
+# workload: the request trace is pinned to its seed
+# ----------------------------------------------------------------------
+class TestWorkload:
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_zipf_trace_is_a_function_of_its_seed(self, seed):
+        trace = zipf_trace(8, 200, seed=seed)
+        assert np.array_equal(trace, zipf_trace(8, 200, seed=seed))
+        assert not np.array_equal(trace, zipf_trace(8, 200, seed=seed + 1))

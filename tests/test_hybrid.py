@@ -1,50 +1,26 @@
 """Tests for the parallel runners (OCT_CILK / OCT_MPI / OCT_MPI+CILK).
 
-The central assertions: full-numerics runs produce energies and radii
-equal to the serial pipeline's, bit for bit, at every layout (node-based
-division invariance), the cached fast path agrees with the full path,
-and the timing model behaves (monotone scaling, memory ratios, OOM
-handling).
+The central assertions: every variant reports the one serial execution's
+energy, and the timing model behaves (monotone scaling, memory ratios,
+OOM handling).  That the energy does not depend on the cut is
+``tests/test_procpool.py::TestBitIdentity``'s job: ``run()``,
+``compute("serial", workers=P)`` and ``compute("real", workers=P)`` agree
+bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.parallel.cost import CostModel, MemoryModel
-from repro.parallel.hybrid import (ParallelRunConfig, ParallelRunResult,
-                                   run_oct_cilk, run_parallel, run_variant)
-from repro.parallel.machine import RankLayout, layout_for_cores
+from repro.parallel.cost import MemoryModel
+from repro.parallel.hybrid import ParallelRunConfig, run_parallel, run_variant
+from repro.parallel.machine import layout_for_cores
 
 
 class TestNumericsInvariance:
-    @pytest.mark.parametrize("nranks", [1, 2, 4, 7])
-    def test_full_numerics_matches_serial(self, medium_calc, nranks):
-        serial_energy = medium_calc.profile().energy
-        layout = RankLayout(nodes=1, ranks_per_node=nranks)
-        result = run_parallel(medium_calc, layout, numerics="full")
-        assert result.energy == serial_energy
-
-    def test_full_numerics_born_radii_match(self, medium_calc):
-        serial = medium_calc.born_radii()
-        layout = RankLayout(nodes=1, ranks_per_node=3)
-        result = run_parallel(medium_calc, layout, numerics="full")
-        np.testing.assert_array_equal(result.born_radii, serial)
-
-    def test_hybrid_full_numerics(self, medium_calc):
-        layout = RankLayout(nodes=1, ranks_per_node=2, threads_per_rank=6)
-        result = run_parallel(medium_calc, layout, numerics="full")
-        assert result.energy == medium_calc.profile().energy
-
-    def test_cached_equals_full_energy(self, medium_calc):
-        layout = RankLayout(nodes=1, ranks_per_node=4)
-        full = run_parallel(medium_calc, layout, numerics="full")
-        cached = run_parallel(medium_calc, layout, numerics="cached")
-        assert cached.energy == full.energy
-
     def test_all_variants_identical_energy(self, medium_calc):
         energies = {run_variant(medium_calc, v, cores=12).energy
                     for v in ("OCT_CILK", "OCT_MPI", "OCT_MPI+CILK")}
-        assert len(energies) == 1
+        assert energies == {medium_calc.run().energy}
 
 
 class TestTiming:
@@ -131,7 +107,3 @@ class TestMemory:
         with pytest.raises(ValueError):
             run_variant(medium_calc, "OCT_GPU", cores=12)
 
-    def test_bad_numerics_mode(self, medium_calc):
-        with pytest.raises(ValueError):
-            run_parallel(medium_calc, layout_for_cores(12, hybrid=False),
-                         numerics="telepathy")

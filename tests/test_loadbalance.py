@@ -6,8 +6,10 @@ import pytest
 from repro.core.driver import PolarizationEnergyCalculator
 from repro.loadbalance import (compare_runs, division_error_stability,
                                energy_spread, epol_atom_division,
-                               epol_node_division)
+                               epol_key_range_division, epol_node_division,
+                               epol_plan_division)
 from repro.molecule.generators import protein_blob
+from repro.octree.partition import coarsen_keys, segment_by_key_range
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +17,13 @@ def ctx_and_params():
     calc = PolarizationEnergyCalculator(protein_blob(500, seed=41))
     ctx = calc.energy_context()
     return ctx, calc.params
+
+
+@pytest.fixture(scope="module")
+def keyed_calc():
+    """Deep enough that coarse key blocks hold several leaves, so the
+    key-range cuts at P = 3 and 8 move off the weighted ones."""
+    return PolarizationEnergyCalculator(protein_blob(1500, seed=1))
 
 
 class TestNodeDivision:
@@ -34,6 +43,34 @@ class TestNodeDivision:
         div = epol_node_division(ctx, 6, params.eps_epol,
                                  params.epsilon_solvent)
         assert div.energy == pytest.approx(serial, rel=1e-12)
+
+
+class TestKeyRangeDivision:
+    """The plan rows of :func:`epol_plan_division`, cut at SFC key-block
+    boundaries."""
+
+    @pytest.mark.parametrize("nparts", [1, 3, 8])
+    def test_plan_division_energy_with_whole_keys(self, keyed_calc, nparts):
+        ctx, params = keyed_calc.energy_context(), keyed_calc.params
+        plan = keyed_calc.epol_plan()
+        args = (ctx, nparts, params.eps_epol, params.epsilon_solvent)
+        div = epol_key_range_division(*args, plan=plan)
+        ref = epol_plan_division(*args, plan=plan)
+        assert div.energy == pytest.approx(ref.energy, rel=1e-12, abs=0.0)
+
+        pairs = plan.exact_pairs_per_row
+        assert div.per_rank_pairs.sum() == pairs.sum()
+        # The ranks own these key intervals: no key block spans a cut.
+        keys = coarsen_keys(ctx.atoms.tree.node_key[plan.target_leaves],
+                            nparts)
+        bounds = segment_by_key_range(
+            keys, nparts,
+            weights=plan.row_pair_weights(nbins=ctx.binning.nbins))
+        assert np.array_equal(div.per_rank_pairs,
+                              [pairs[lo:hi].sum() for lo, hi in bounds])
+        for lo, _ in bounds:
+            if 0 < lo < len(keys):
+                assert keys[lo - 1] != keys[lo]
 
 
 class TestAtomDivision:

@@ -3,7 +3,8 @@
 These tests re-derive the full pipeline with ``approx_integrals_perleaf``
 / ``approx_epol_perleaf`` (the seed's code path, kept as the reference)
 and compare the plan-driven default path at P in {1, 2, 4}, on the
-``sim`` and ``real`` backends, and under ``REPRO_CHECKS=1``:
+``sim`` (inline fleet, ``compute("serial", workers=P)``) and ``real``
+backends, and under ``REPRO_CHECKS=1``:
 
 * every work counter and the Born far-field node sums ``s_node`` must
   match the reference *exactly*;
@@ -30,8 +31,6 @@ from repro.core.energy import (EnergyContext, EpolPartial,
                                approx_epol_perleaf, epol_from_pair_sum)
 from repro.molecule.generators import protein_blob
 from repro.octree.partition import segment_by_weight
-from repro.parallel.hybrid import run_parallel
-from repro.parallel.machine import RankLayout
 from repro.plan import execute_born_plan, execute_epol_plan
 
 WORKER_COUNTS = (1, 2, 4)
@@ -139,11 +138,6 @@ class TestKernelSlicesBitIdentical:
             assert a.nodes_visited == b.nodes_visited
 
 
-def _sim_run(calc, workers):
-    layout = RankLayout(nodes=1, ranks_per_node=workers, threads_per_rank=1)
-    return run_parallel(calc, layout, numerics="full")
-
-
 class TestPipelineBitIdentical:
     """End-to-end: the plan-driven default path reproduces the legacy
     pipeline -- Born radii and energies to rounding -- for every worker
@@ -167,7 +161,7 @@ class TestPipelineBitIdentical:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_sim_backend(self, calc, workers):
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
-        sim = _sim_run(calc, workers)
+        sim = calc.compute(backend="serial", workers=workers)
         assert sim.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(sim.born_radii, ref_radii, rtol=1e-12,
                                    atol=0.0)
@@ -175,7 +169,7 @@ class TestPipelineBitIdentical:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_real_and_sim_backends_agree(self, calc, workers):
         real = calc.compute(backend="real", workers=workers)
-        sim = _sim_run(calc, workers)
+        sim = calc.compute(backend="serial", workers=workers)
         assert real.energy == sim.energy
         assert np.array_equal(real.born_radii, sim.born_radii)
 

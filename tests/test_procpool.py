@@ -1,11 +1,11 @@
-"""Differential tests: real process fleet vs. serial driver vs. simmpi.
+"""Differential tests: real process fleet vs. inline fleet vs. serial driver.
 
 Every substrate runs the one row-range pipeline
-(:func:`repro.serve.sliced.evaluate_ranges`), whose reductions replay the
-serial scatter and fold.  These tests enforce the consequence end to
-end: ``run()``, ``compute("serial")``, ``compute("real")`` at any worker
-count and the simulated ``numerics="full"`` run give the same energy and
-Born radii, bit for bit.
+(:func:`repro.serve.sliced.evaluate_ranges`), whose reductions do not
+depend on how the rows were cut.  These tests enforce the consequence
+end to end: ``run()`` (one in-thread range), ``compute("serial")`` and
+``compute("real")`` at any worker count give the same energy and Born
+radii, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ import pytest
 
 from repro.core.driver import PolarizationEnergyCalculator
 from repro.molecule.generators import protein_blob
-from repro.parallel.hybrid import run_parallel
-from repro.parallel.machine import RankLayout
-
-
-def _flat_layout(nranks: int) -> RankLayout:
-    return RankLayout(nodes=1, ranks_per_node=nranks, threads_per_rank=1)
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +31,10 @@ def seeded_calcs():
 
 @functools.lru_cache(maxsize=None)
 def _reference(natoms: int, seed: int):
-    """A calculator, its ``run()`` and its ``compute("serial")``, built
-    once per molecule across the parametrized cases."""
+    """A calculator and its ``run()``, built once per molecule across the
+    parametrized cases."""
     calc = PolarizationEnergyCalculator(protein_blob(natoms, seed=seed))
-    return calc, calc.run(), calc.compute(backend="serial")
+    return calc, calc.run()
 
 
 _BIT_IDENTITY_CASES = [
@@ -53,10 +47,10 @@ _BIT_IDENTITY_CASES = [
 class TestBitIdentity:
     @pytest.mark.parametrize("natoms,seed,workers", _BIT_IDENTITY_CASES)
     def test_every_substrate_bit_identical(self, natoms, seed, workers):
-        calc, ref, serial = _reference(natoms, seed)
+        calc, ref = _reference(natoms, seed)
+        serial = calc.compute(backend="serial", workers=workers)
         real = calc.compute(backend="real", workers=workers)
-        sim = run_parallel(calc, _flat_layout(workers), numerics="full")
-        for res in (serial, real, sim):
+        for res in (serial, real):
             assert res.energy == ref.energy
             assert np.array_equal(res.born_radii, ref.born_radii)
 
@@ -81,8 +75,6 @@ class TestSerialBackendEquivalence:
         calc, _ = seeded_calcs[0]
         with pytest.raises(ValueError, match="unknown backend"):
             calc.compute(backend="quantum")
-        with pytest.raises(ValueError, match="exactly 1 worker"):
-            calc.compute(backend="serial", workers=2)
 
 
 class TestRealBackendDifferential:
@@ -101,9 +93,12 @@ class TestRealBackendDifferential:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_matches_simulated_full_numerics(self, seeded_calcs, workers):
+        """The process fleet equals the inline fleet simulating the same
+        width: the same ranges, run in turn in this thread."""
         calc, _ = seeded_calcs[0]
         real = calc.compute(backend="real", workers=workers)
-        sim = run_parallel(calc, _flat_layout(workers), numerics="full")
+        sim = calc.compute(backend="serial", workers=workers)
+        assert sim.nworkers == workers
         assert real.energy == sim.energy
         assert np.array_equal(real.born_radii, sim.born_radii)
 
@@ -124,29 +119,6 @@ class TestRealBackendDifferential:
         assert res.counters.exact_pairs == expected.exact_pairs
         assert res.counters.far_evals == expected.far_evals
         assert res.counters.hist_pairs == expected.hist_pairs
-
-
-class TestHybridRealEngine:
-    def test_engine_real_roundtrip(self, seeded_calcs):
-        calc, ref = seeded_calcs[0]
-        res = run_parallel(calc, _flat_layout(2), engine="real")
-        assert res.variant == "OCT_PROC"
-        assert res.energy == ref.energy
-        assert res.wall_seconds > 0
-        assert res.sim_seconds == res.wall_seconds
-        assert res.phase_seconds == {}
-        assert res.comm is None and res.steals == 0
-
-    def test_engine_real_rejects_threaded_layouts(self, seeded_calcs):
-        calc, _ = seeded_calcs[0]
-        with pytest.raises(ValueError, match="one process per rank"):
-            run_parallel(calc, RankLayout(nodes=1, ranks_per_node=1,
-                                          threads_per_rank=2), engine="real")
-
-    def test_unknown_engine_rejected(self, seeded_calcs):
-        calc, _ = seeded_calcs[0]
-        with pytest.raises(ValueError, match="engine"):
-            run_parallel(calc, _flat_layout(2), engine="mpi")
 
 
 class TestDeterminism:

@@ -279,6 +279,11 @@ class TestCLI:
         proc = run_cli("--rules", "REP999")
         assert proc.returncode == 2
 
+    def test_help_names_the_rule_range(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert f"({min(RULES)}..{max(RULES)})" in proc.stdout
+
     def test_list_rules(self):
         proc = run_cli("--list-rules")
         assert proc.returncode == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.parallel.machine import LONESTAR4_NETWORK, RankLayout
 from repro.parallel.simmpi import (DeadlockError, SimMPI, collective_cost,
                                    payload_nbytes, reduce_values, run_spmd)
+from repro.runtime.trace import Trace
 
 
 class TestCollectiveSemantics:
@@ -214,6 +215,42 @@ class TestTiming:
         r2 = run_spmd(prog, nranks=6)
         assert r1.finish_times == r2.finish_times
         assert r1.returns == r2.returns
+
+
+class TestTrace:
+    """Collective trace events carry the simulated clock, never the
+    host's: the time every rank reads right after the collective."""
+
+    LAYOUT = RankLayout(nodes=2, ranks_per_node=2)
+
+    def _run(self):
+        def prog(ctx):
+            ctx.advance(0.001 * (ctx.rank + 1))
+            yield ctx.allreduce(None, nbytes=800)
+            after_allreduce = ctx.clock.now
+            ctx.advance(0.002)
+            yield ctx.allgather(None, nbytes=64)
+            return after_allreduce, ctx.clock.now
+
+        trace = Trace()
+        result = SimMPI(layout=self.LAYOUT, trace=trace).run(prog)
+        return trace, result
+
+    def test_collective_events_stamped_with_the_simulated_clock(self):
+        trace, result = self._run()
+        t_sync = max(0.001 * (rank + 1) for rank in range(4))
+        t1 = t_sync + collective_cost("allreduce", LONESTAR4_NETWORK,
+                                      self.LAYOUT, 800)
+        t2 = (t1 + 0.002) + collective_cost("allgather", LONESTAR4_NETWORK,
+                                            self.LAYOUT, 64)
+        assert result.returns == [(t1, t2)] * 4
+        assert [(e.time, e.who, e.detail)
+                for e in trace.by_kind("collective")] == [
+            (t1, -1, {"kind": "allreduce", "nbytes": 800}),
+            (t2, -1, {"kind": "allgather", "nbytes": 64})]
+
+    def test_identical_runs_identical_traces(self):
+        assert self._run()[0].events == self._run()[0].events
 
 
 class TestHelpers:

@@ -4,8 +4,8 @@ One conformation, four tree variants ({morton, hilbert} x {plain,
 compressed}), every execution substrate.  The contracts:
 
 * within a fixed variant the substrates are interchangeable: the serial
-  driver, the real backend at one and two processes, the simulated
-  full-numerics run and both serve paths (batched, sliced) are
+  driver, the real backend at one and two processes, the inline fleet
+  simulating two workers and both serve paths (batched, sliced) are
   bit-identical;
 * across variants the energies agree to <= 1e-10 relative at default
   eps -- different leaf orders reorder additions but never change which
@@ -31,8 +31,6 @@ from repro.core.energy import EnergyContext, approx_epol, epol_from_pair_sum
 from repro.core.naive import naive_born_radii, naive_epol
 from repro.core.params import ApproximationParams
 from repro.molecule.generators import protein_blob
-from repro.parallel.hybrid import run_parallel
-from repro.parallel.machine import RankLayout
 from repro.plan.cache import born_key, epol_key
 from repro.serve import EpsConfig, InlineFleet, MoleculeRegistry
 from repro.serve.registry import content_key
@@ -73,12 +71,11 @@ class TestWithinVariantSubstrates:
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
     def test_two_process_real_equals_simulated(self, refs, variant):
-        """Real P=2 == simulated P=2 (full numerics) == serial, bit for
+        """Real P=2 == simulated P=2 (inline fleet) == serial, bit for
         bit."""
         calc, ref = refs[variant]
-        layout = RankLayout(nodes=1, ranks_per_node=2, threads_per_rank=1)
         real = calc.compute(backend="real", workers=2)
-        sim = run_parallel(calc, layout, numerics="full")
+        sim = calc.compute(backend="serial", workers=2)
         assert real.energy == sim.energy
         np.testing.assert_array_equal(real.born_radii, sim.born_radii)
         assert real.energy == ref.energy
