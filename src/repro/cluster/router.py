@@ -374,19 +374,21 @@ class ClusterRouter:
         owner.metrics.record_admission(True)
         t0 = self._clock()
 
-        def born_phase(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+        def born_phase(bounds: Bounds
+                       ) -> tuple[np.ndarray, np.ndarray, Bounds]:
             # Donees write their spans into the owner's flat arrays; the
             # span bytes are what the wire would carry back.
             far = np.zeros(plans.born.far_nodes.shape)
             near = np.zeros(plans.born.near_points.shape)
+            ran: Bounds = []
 
             def run(donee: LocalRanges, lo: int, hi: int) -> int:
-                donee.born_phase([(lo, hi)], far, near)
+                ran.extend(donee.born_phase([(lo, hi)], far, near)[2])
                 far_span, near_span = born_spans(plans.born, lo, hi)
                 return int(far[far_span].nbytes + near[near_span].nbytes)
 
             self._donate_phase(key, owner_id, donees, eps, bounds, run)
-            return far, near
+            return far, near, ran
 
         def epol_phase(bounds: Bounds,
                        born_sorted: np.ndarray) -> list[RangeTerms]:

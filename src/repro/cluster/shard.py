@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
-from ..serve.fleet import InlineFleet, ProcessFleet
+from ..serve.fleet import make_fleet
 from ..serve.metrics import ServeMetrics
 from ..serve.registry import RegistryEntry
 from ..serve.scheduler import EpolServer, ServeConfig
@@ -39,15 +39,9 @@ class ShardNode:
         if not node_id:
             raise ValueError("node_id must be non-empty")
         self.node_id = node_id
-        if backend == "real":
-            fleet: InlineFleet | ProcessFleet = ProcessFleet(
-                workers, start_method=start_method)
-        elif backend == "sim":
-            fleet = InlineFleet(nworkers=workers)
-        else:
-            raise ValueError(f"unknown shard backend {backend!r}")
-        self.server = EpolServer(fleet=fleet, config=config,
-                                 metrics=ServeMetrics(clock=clock))
+        self.server = EpolServer(
+            fleet=make_fleet(backend, workers, start_method=start_method),
+            config=config, metrics=ServeMetrics(clock=clock))
         self._busy_lock = threading.Lock()
         self._busy_seconds = 0.0
         self._evict_listener: Callable[[str, str], None] | None = None

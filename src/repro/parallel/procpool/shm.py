@@ -117,8 +117,8 @@ class SharedArrayBundle:
         offset = 0
         prepared: dict[str, np.ndarray] = {}
         for key, arr in arrays.items():
-            # Integer arrays (plan indices) keep their exact dtype; every
-            # other payload is normalised to float64 as before.
+            # Integer arrays (plan indices) are stored as int64; every
+            # other payload is normalised to float64.
             dtype = np.int64 if np.issubdtype(np.asarray(arr).dtype,
                                               np.integer) else np.float64
             a = np.ascontiguousarray(arr, dtype=dtype)

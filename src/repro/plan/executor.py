@@ -105,8 +105,10 @@ def born_spans(plan: InteractionPlan, lo: int, hi: int
                ) -> tuple[slice, slice]:
     """The flat-CSR ``(far, near)`` value spans of Born rows ``[lo, hi)``
     -- from the plan's CSR starts, never from execution order.  Every
-    writer of flat Born values (and the ``REPRO_CHECKS`` write-intent
-    recorder) takes its spans from here."""
+    writer of flat Born values takes its spans from here, so two ranges'
+    spans overlap only if the ranges do: the row-cover check of
+    :func:`repro.serve.sliced.evaluate_ranges` is the whole disjointness
+    argument for a sliced request's scratch writes."""
     f0, f1 = int(plan.far_start[lo]), int(plan.far_start[hi])
     n0, n1 = int(plan.near_point_start[lo]), int(plan.near_point_start[hi])
     return slice(f0, f1), slice(n0, n1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .client import ServeClient, ServeFuture
 from .fleet import (EpsConfig, EvalResult, FleetError, InlineFleet,
-                    ProcessFleet, SliceError)
+                    ProcessFleet, SliceError, make_fleet)
 from .metrics import ServeMetrics, latency_summary, now
 from .policy import (MODE_BATCHED, MODE_DONATED, MODE_SLICED,
                      decide_donation, decide_mode)
@@ -67,6 +67,7 @@ __all__ = [
     "evaluate_ranges",
     "fold_pair_terms",
     "latency_summary",
+    "make_fleet",
     "make_server",
     "now",
     "reduce_born_flat",
@@ -80,16 +81,10 @@ def make_server(*, backend: str = "real", workers: int = 2,
     """Assemble (but do not start) a server on the chosen fleet.
 
     ``backend="real"`` serves over ``workers`` warm OS processes;
-    ``backend="sim"`` evaluates inline in the scheduler thread (one
-    logical worker -- the reference substrate).
+    ``backend="sim"`` evaluates inline in the scheduler thread (the
+    reference substrate), slicing a request ``workers`` ways
+    (:func:`~repro.serve.fleet.make_fleet`).
     """
-    if backend == "real":
-        fleet: InlineFleet | ProcessFleet = ProcessFleet(
-            workers, start_method=start_method)
-    elif backend == "sim":
-        if workers != 1:
-            raise ValueError("the sim (inline) backend has exactly 1 worker")
-        fleet = InlineFleet()
-    else:
-        raise ValueError(f"unknown serve backend {backend!r}")
-    return EpolServer(fleet=fleet, config=config)
+    return EpolServer(fleet=make_fleet(backend, workers,
+                                       start_method=start_method),
+                      config=config)

@@ -38,7 +38,7 @@ import sys
 
 from ..molecule.molecule import Molecule
 from .client import ServeClient
-from .fleet import InlineFleet, ProcessFleet
+from .fleet import make_fleet
 from .metrics import latency_summary, now
 from .registry import MoleculeRegistry
 from .scheduler import EpolServer, ServeConfig
@@ -131,7 +131,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", choices=("real", "sim"),
                         default="real")
     parser.add_argument("-P", "--workers", type=int, default=2,
-                        help="fleet width for --backend real (default 2)")
+                        help="fleet width: worker processes (real) or "
+                             "slices per sliced request (sim); default 2")
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--max-wait-ms", type=float, default=2.0,
                         help="micro-batching window (default 2 ms)")
@@ -182,11 +183,9 @@ def main(argv: list[str] | None = None) -> int:
         queue_capacity=args.queue_cap,
         slice_threshold=threshold,
         slice_queue_scale=args.slice_queue_scale)
-    workers = args.workers if args.backend == "real" else 1
-    fleet = (ProcessFleet(workers) if args.backend == "real"
-             else InlineFleet())
-    server = EpolServer(fleet=fleet, registry=registry, config=config)
-    print(f"serve: backend={args.backend} workers={workers} "
+    server = EpolServer(fleet=make_fleet(args.backend, args.workers),
+                        registry=registry, config=config)
+    print(f"serve: backend={args.backend} workers={args.workers} "
           f"max_batch={config.max_batch} queue_cap={config.queue_capacity} "
           f"slice_threshold={threshold}")
     print(f"workload: {args.workload}, {args.requests} requests over "
@@ -229,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         "row_weights": {m.name: weights[i]
                         for i, m in enumerate(molecules)},
         "backend": args.backend,
-        "workers": workers,
+        "workers": args.workers,
         "config": {
             "max_batch": config.max_batch,
             "max_wait_seconds": config.max_wait_seconds,

@@ -40,9 +40,6 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis_static.checks import checks_enabled
-from ..analysis_static.races import (WriteIntentTracker, find_races,
-                                     intents_from_payload)
 from ..core.born import AtomTreeData, QuadTreeData
 from ..core.energy import epol_from_pair_sum
 from ..core.params import ApproximationParams
@@ -50,7 +47,6 @@ from ..molecule.molecule import Molecule
 from ..parallel.procpool import (PersistentWorkerPool, PoolError,
                                  SharedArrayBundle)
 from ..plan import InteractionPlan, PlanSet
-from ..plan.executor import born_spans
 from ..plan.schema import PLAN_ARRAY_FIELDS
 from ..surface.sas import SurfaceQuadrature
 from .metrics import now
@@ -255,9 +251,8 @@ class _WorkerState:
                 plan_meta["epol"],
                 {f: bundle.view(f"plan_epol_{f}")
                  for f in PLAN_ARRAY_FIELDS}))
-        if checks_enabled():
-            plans.born.validate()
-            plans.epol.validate()
+        plans.born.validate()
+        plans.epol.validate()
         self.ranges = LocalRanges(plans, atoms, quad, params.eps_epol)
 
     def release(self) -> None:
@@ -297,29 +292,22 @@ def _cached_state(cache: dict[str, _WorkerState], name: str, layout: Any,
     return state, cold
 
 
-def _run_slice(state: _WorkerState, rank: int, kind: str,
-               scratch: SharedArrayBundle, lo: int, hi: int) -> tuple:
+def _run_slice(state: _WorkerState, kind: str, scratch: SharedArrayBundle,
+               lo: int, hi: int) -> tuple:
     """One row range of a sliced request against its scratch segment.
 
     Round 1 (``"born_slice"``) writes the range's flat Born values into
-    the scratch and returns ``(intents,)``: under REPRO_CHECKS the spans
-    it wrote, so the parent can run the race detector across every
-    worker of the request (else None).  Round 2 returns the range's
-    per-row ``(far, near)`` E_pol terms against the parent-reduced Born
-    radii the scratch holds."""
+    the scratch and returns ``(ran,)``, the ranges the Born phase ran.
+    Round 2 returns the range's :data:`~repro.serve.sliced.RangeTerms`
+    against the parent-reduced Born radii the scratch holds.  Either way
+    the parent's cover check sees the rows this worker executed, not the
+    ones it was sent."""
     if kind == "epol_slice":
-        (_, _, far_t, near_t), = state.ranges.epol_phase(
+        (terms,) = state.ranges.epol_phase(
             [(lo, hi)], np.array(scratch.view("born_sorted")))
-        return far_t, near_t
-    views = (scratch.view("born_far"), scratch.view("born_near"))
-    state.ranges.born_phase([(lo, hi)], *views)
-    if not checks_enabled():
-        return (None,)
-    tracker = WriteIntentTracker(rank, capture_stacks=False)
-    for field, view, span in zip(("born_far", "born_near"), views,
-                                 born_spans(state.ranges.plans.born, lo, hi)):
-        tracker.record_write(f"sliced:{field}", view.shape, span)
-    return (tracker.payload(),)
+        return terms
+    return (state.ranges.born_phase([(lo, hi)], scratch.view("born_far"),
+                                    scratch.view("born_near"))[2],)
 
 
 def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
@@ -391,14 +379,14 @@ def _serve_worker_loop(rank: int, tasks: Any, results: Any) -> None:
                 scratch = SharedArrayBundle.attach(scratch_name,
                                                    scratch_layout)
                 try:
-                    out = _run_slice(state, rank, kind, scratch, lo, hi)
+                    out = _run_slice(state, kind, scratch, lo, hi)
                 finally:
                     scratch.close()
                 if kind == "born_slice":
                     results.put(("born_ok", req_id, rank, lo, hi,
                                  now() - t0, cold) + out)
                 else:
-                    results.put(("epol_ok", req_id, rank, lo, hi) + out
+                    results.put(("epol_ok", req_id, rank) + out
                                 + (now() - t0, cold))
             else:
                 raise ValueError(f"unknown worker task kind {kind!r}")
@@ -541,8 +529,10 @@ class ProcessFleet:
 
         Raises :class:`SliceError` when a slice fails or its worker dies
         (the pool is respawned to full width first -- later requests
-        succeed) or the parent's own part fails (publication, scratch,
-        reduction), :class:`FleetError` when the fleet is unusable.
+        succeed), when the ranges the workers report running do not tile
+        a phase's rows, or when the parent's own part fails (publication,
+        scratch, reduction); :class:`FleetError` when the fleet is
+        unusable.
         """
         if self._pool.closed:
             raise FleetError("fleet is shut down")
@@ -556,8 +546,8 @@ class ProcessFleet:
             nnz_near = plans.born.near_points.size
             # Per-request scratch: worker-filled flat Born contributions
             # plus the parent-reduced radii round 2 reads back.
-            # Zero-filled so rows no slice covers (there are none) could
-            # never read junk.
+            # Zero-filled; a row no slice ran fails the cover check
+            # before the reduce could read it.
             scratch = SharedArrayBundle.create({
                 "born_far": np.zeros(max(nnz_far, 1)),
                 "born_near": np.zeros(max(nnz_near, 1)),
@@ -568,22 +558,13 @@ class ProcessFleet:
                     scratch.name, scratch.layout)
 
             def born_phase(bounds: Bounds
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           ) -> tuple[np.ndarray, np.ndarray, Bounds]:
                 res = self._run_slice_phase(req_id, "born_slice", head,
                                             bounds)
                 cold.extend(r[6] for r in res)
-                if checks_enabled():
-                    # Merge every slice's declared scratch writes; any
-                    # overlap between two ranks fails the request.
-                    races = find_races([
-                        i for r in res if r[7] is not None
-                        for i in intents_from_payload(r[7])])
-                    if races:
-                        raise SliceError(
-                            f"request {req_id}: overlapping scratch "
-                            f"writes across slices: {races[0].describe()}")
                 return (scratch.view("born_far")[:nnz_far],
-                        scratch.view("born_near")[:nnz_near])
+                        scratch.view("born_near")[:nnz_near],
+                        [rng for r in res for rng in r[7]])
 
             def epol_phase(bounds: Bounds,
                            born_sorted: np.ndarray) -> list[RangeTerms]:
@@ -678,3 +659,16 @@ class ProcessFleet:
 
     def __exit__(self, *exc: Any) -> None:
         self.shutdown()
+
+
+def make_fleet(backend: str, workers: int, *,
+               start_method: str | None = None
+               ) -> InlineFleet | ProcessFleet:
+    """The fleet of a serving backend, ``workers`` wide on either:
+    ``"real"`` keeps that many warm OS processes, ``"sim"`` cuts a sliced
+    request into that many ranges and runs them in turn inline."""
+    if backend == "real":
+        return ProcessFleet(workers, start_method=start_method)
+    if backend == "sim":
+        return InlineFleet(workers)
+    raise ValueError(f"unknown serve backend {backend!r}")

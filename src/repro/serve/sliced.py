@@ -11,6 +11,11 @@ hand them back for the fold (:func:`fold_pair_terms`).  A substrate is a
 pair of phase callables and decides only *where* ranges run: in this
 thread (:class:`LocalRanges`, driven by :func:`evaluate_local`), over
 process workers through a shared scratch segment, or on donee shards.
+Each phase reports the ranges it actually ran, and the pipeline refuses
+any request whose ranges do not tile the plan's rows
+(:func:`check_row_cover`): a skipped range would fold zero-filled slots
+into the energy, an overlap would hide a worker running rows it was
+not given.
 
 The reductions never sum scalar partials.  Born values are written
 once, by position, into the spans of
@@ -47,9 +52,9 @@ Bounds = list[tuple[int, int]]
 #: One executed E_pol range: ``(lo, hi, far_terms, near_terms)``.
 RangeTerms = tuple[int, int, np.ndarray, np.ndarray]
 #: Runs Born rows ``bounds`` and returns the full flat ``(far, near)``
-#: value arrays; runs E_pol rows against the Born radii and returns
-#: every range's terms, in any order.
-BornPhase = Callable[[Bounds], tuple[np.ndarray, np.ndarray]]
+#: value arrays and the ranges it ran; runs E_pol rows against the Born
+#: radii and returns every range's terms, in any order.
+BornPhase = Callable[[Bounds], tuple[np.ndarray, np.ndarray, Bounds]]
 EpolPhase = Callable[[Bounds, np.ndarray], Iterable[RangeTerms]]
 
 
@@ -60,6 +65,24 @@ def slice_bounds(weights: np.ndarray, nslices: int
     rows, or zero-weight tails) are dropped."""
     bounds = segment_by_weight(np.asarray(weights), int(nslices))
     return [(int(lo), int(hi)) for lo, hi in bounds if hi > lo]
+
+
+def check_row_cover(ranges: Iterable[tuple[int, int]], nrows: int,
+                    phase: str) -> None:
+    """Raise :class:`ValueError` unless the executed ``ranges`` tile
+    ``[0, nrows)`` exactly: sorted, each starts where the one before it
+    ended, the last ends at ``nrows`` -- no gap, no overlap."""
+    ranges = sorted(ranges)
+    edge = 0
+    for lo, hi in ranges:
+        if lo != edge or hi < lo:
+            break
+        edge = hi
+    else:
+        if edge == nrows:
+            return
+    raise ValueError(f"{phase} ranges {ranges} do not tile the plan's "
+                     f"rows [0, {nrows})")
 
 
 def reduce_born_flat(plan: InteractionPlan, atoms: AtomTreeData,
@@ -129,23 +152,31 @@ def evaluate_ranges(plans: PlanSet, atoms: AtomTreeData,
                     eps_epol: float) -> PairTerms:
     """One request's two phases over ``nparts`` row ranges each, run
     wherever the substrate's phases put them; the reductions run here,
-    on the parent's ``plans``/``atoms``.  The caller folds the returned
-    terms with :func:`fold_pair_terms`."""
+    on the parent's ``plans``/``atoms``, once the ranges each phase ran
+    pass :func:`check_row_cover`.  The caller folds the returned terms
+    with :func:`fold_pair_terms`."""
     def cut(plan: InteractionPlan, nbins: int = 0) -> Bounds:
         return slice_bounds(plan.row_pair_weights(nbins=nbins), nparts)
 
     born_bounds = cut(plans.born)
-    far_flat, near_flat = born_phase(born_bounds)
-    partial = reduce_born_flat(plans.born, atoms, far_flat, near_flat)
-    # The flat arrays may be views of a shared segment the caller closes
-    # once this returns (or raises); hold no reference past the reduce.
-    del far_flat, near_flat
+    far_flat, near_flat, born_ran = born_phase(born_bounds)
+    try:
+        check_row_cover(born_ran, plans.born.nrows, "Born")
+        partial = reduce_born_flat(plans.born, atoms, far_flat, near_flat)
+    finally:
+        # The flat arrays may be views of a shared segment the caller
+        # closes once this returns (or raises); hold no reference past
+        # the reduce.
+        del far_flat, near_flat
     born_sorted = push_integrals_to_atoms(atoms, partial,
                                           max_radius=max_radius)
     epol_bounds = cut(plans.epol, epol_nbins(born_sorted, eps_epol))
+    range_terms = list(epol_phase(epol_bounds, born_sorted))
+    check_row_cover(((lo, hi) for lo, hi, _, _ in range_terms),
+                    plans.epol.nrows, "E_pol")
     far_terms = np.zeros(plans.epol.nrows)
     near_terms = np.zeros(plans.epol.nrows)
-    for lo, hi, far_t, near_t in epol_phase(epol_bounds, born_sorted):
+    for lo, hi, far_t, near_t in range_terms:
         far_terms[lo:hi] = far_t
         near_terms[lo:hi] = near_t
     return PairTerms(far_terms, near_terms, born_sorted, len(born_bounds),
@@ -173,10 +204,10 @@ class LocalRanges:
 
     def born_phase(self, bounds: Bounds, far: np.ndarray | None = None,
                    near: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, Bounds]:
         """Write the flat Born values of ``bounds`` at their plan
         positions in ``far``/``near`` (fresh full-plan arrays when not
-        given) and return both."""
+        given); return both and the ranges run."""
         plan = self.plans.born
         if far is None or near is None:
             far = np.zeros(plan.far_nodes.shape)
@@ -185,7 +216,7 @@ class LocalRanges:
             far_span, near_span = born_spans(plan, lo, hi)
             born_flat_values(plan, self.atoms, self.quad, far[far_span],
                              near[near_span], row_range=(lo, hi))
-        return far, near
+        return far, near, list(bounds)
 
     def epol_phase(self, bounds: Bounds,
                    born_sorted: np.ndarray) -> list[RangeTerms]:

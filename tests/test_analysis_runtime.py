@@ -1,6 +1,5 @@
 """Tests for analysis metrics/tables and the runtime substrate."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (Series, crossover_x, format_cell, geometric_mean,

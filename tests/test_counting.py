@@ -8,7 +8,6 @@ from repro.core.counting import (count_born_work, count_epol_work,
                                  shell_surface_points)
 from repro.core.energy import EnergyContext, approx_epol
 from repro.molecule.generators import icosahedral_shell, protein_blob
-from repro.parallel.cost import CostModel
 from repro.parallel.hybrid import simulate_layout_timing
 from repro.parallel.machine import RankLayout
 from repro.surface.sas import build_surface

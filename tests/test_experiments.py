@@ -3,8 +3,8 @@ ones are exercised at reduced scale)."""
 
 import pytest
 
-from repro.experiments import (EXPERIMENTS, ExperimentResult, all_ids,
-                               run_experiment, suite_molecules)
+from repro.experiments import (ExperimentResult, all_ids, run_experiment,
+                               suite_molecules)
 from repro.experiments.ablations import run_nblist_space, run_work_division
 from repro.experiments.table1_environment import run as run_table1
 from repro.experiments.table2_packages import run as run_table2

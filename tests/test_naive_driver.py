@@ -8,7 +8,6 @@ from repro.core.driver import (PolarizationEnergyCalculator,
 from repro.core.naive import naive_born_radii, naive_epol, naive_reference
 from repro.core.params import ApproximationParams
 from repro.geometry import rotation_matrix
-from repro.molecule.generators import protein_blob
 from repro.surface.sas import build_surface
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import PolarizationEnergyCalculator
-from repro.core.naive import naive_reference
 from repro.core.params import ApproximationParams
 from repro.molecule.generators import protein_blob
 from repro.molecule.molecule import Molecule

@@ -19,12 +19,11 @@ import pytest
 from repro.core.born import _slice_concat
 from repro.core.energy import EnergyContext
 from repro.octree.mac import born_mac_multiplier, epol_mac_multiplier
-from repro.octree.partition import segment_by_weight
 from repro.octree.traversal import classify_against_ball
 from repro.plan import (PLAN_ARRAY_FIELDS, InteractionPlan, PlanCache,
                         build_born_plan, build_epol_plan, epol_row_terms,
-                        execute_born_plan, execute_epol_plan, plan_stats,
-                        rank_imbalance, tile_histogram)
+                        execute_born_plan, plan_stats, rank_imbalance,
+                        tile_histogram)
 from repro.plan.cache import born_key, epol_key
 
 

@@ -4,7 +4,7 @@ These tests re-derive the full pipeline with ``approx_integrals_perleaf``
 / ``approx_epol_perleaf`` (the seed's code path, kept as the reference)
 and compare the plan-driven default path at P in {1, 2, 4}, on the
 ``sim`` (inline fleet, ``compute("serial", workers=P)``) and ``real``
-backends, and under ``REPRO_CHECKS=1``:
+backends:
 
 * every work counter and the Born far-field node sums ``s_node`` must
   match the reference *exactly*;
@@ -16,7 +16,7 @@ backends, and under ``REPRO_CHECKS=1``:
   executor evaluates each mirrored near-tile pair once, which moves the
   sum by rounding only (``tests/test_goldens.py`` pins the values);
 * the ``sim`` and ``real`` backends at the same P must agree with each
-  other bit for bit, and a checked run with its unchecked twin.
+  other bit for bit, and a real run with its rerun.
 """
 
 from __future__ import annotations
@@ -176,14 +176,13 @@ class TestPipelineBitIdentical:
 
 class TestCheckedRunsBitIdentical:
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_repro_checks_leg(self, calc, workers, monkeypatch):
-        """REPRO_CHECKS=1 instrumentation must not perturb the numerics:
-        checked runs match the legacy pipeline (radii and energy to
-        rounding) and the unchecked run bit for bit.  A checked run that
-        finds overlapping slice writes fails instead of returning."""
+    def test_real_rerun_bit_identical(self, calc, workers):
+        """Two real-backend runs, each through the row-cover check, match
+        the legacy pipeline (radii and energy to rounding) and each other
+        bit for bit.  A run whose slices do not tile the rows fails
+        instead of returning."""
         ref_energy, ref_radii = legacy_pipeline(calc, workers)
         plain = calc.compute(backend="real", workers=workers)
-        monkeypatch.setenv("REPRO_CHECKS", "1")
         res = calc.compute(backend="real", workers=workers)
         assert res.energy == pytest.approx(ref_energy, rel=1e-12, abs=0.0)
         assert res.energy == plain.energy

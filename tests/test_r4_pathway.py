@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.constants import FOUR_PI
 from repro.core.born import (AtomTreeData, QuadTreeData, approx_integrals,
                              push_integrals_to_atoms)
 from repro.core.naive import naive_born_radii

@@ -14,6 +14,7 @@ Acceptance criteria covered here:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import threading
@@ -206,11 +207,10 @@ class TestProcessDifferential:
             assert second.detail["cold_attach"] is False
             assert server.stats()["publications"] == 1
 
-    def test_checked_mode_roundtrip(self, serve_molecules, cold_energies,
-                                    monkeypatch):
-        """REPRO_CHECKS=1 workers validate the attached plans and still
-        serve bit-identical energies."""
-        monkeypatch.setenv("REPRO_CHECKS", "1")
+    def test_validated_attach_roundtrip(self, serve_molecules,
+                                        cold_energies):
+        """Workers validate every plan they attach and still serve
+        bit-identical energies."""
         with make_server(backend="real", workers=2,
                          config=_quick_config()) as server:
             client = ServeClient(server)
@@ -218,6 +218,29 @@ class TestProcessDifferential:
                     for m in serve_molecules]
             got = client.await_all(futs, timeout=300.0)
         assert got == cold_energies
+
+    def test_narrowed_plan_fails_its_request(self, serve_molecules):
+        """A worker that attaches a plan whose Born CSR offsets are
+        int32 fails that request: the values still fit, so only
+        ``InteractionPlan.validate()`` on attach can notice."""
+        registry = MoleculeRegistry()
+        entry = registry.get(registry.register(serve_molecules[0]))
+        cfg = EpsConfig.resolve(entry.params)
+        fleet = ProcessFleet(1)
+        try:
+            # Publication stores integer arrays as int64: re-declare the
+            # published offsets as int32 and rewrite them in place.
+            bundle = fleet._ensure_published(entry, cfg).bundle
+            field = "plan_born_far_start"
+            offsets = bundle.view(field).copy()
+            bundle.layout[field] = dataclasses.replace(bundle.layout[field],
+                                                       dtype="int32")
+            bundle.view(field)[...] = offsets
+            res = fleet.run_batch([(0, entry, cfg)])[0]
+        finally:
+            fleet.shutdown()
+        assert np.isnan(res.energy)
+        assert "far_start must be int64, not int32" in res.error
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +488,24 @@ class TestAssembly:
         with pytest.raises(ValueError):
             make_server(backend="gpu")
         with pytest.raises(ValueError):
-            make_server(backend="sim", workers=4)
+            make_server(backend="sim", workers=0)
+
+    def test_sim_backend_defaults_serve_cold_energy(self, serve_molecules,
+                                                    cold_energies):
+        """The default width (2) is valid on the sim backend too."""
+        with make_server(backend="sim", config=_quick_config()) as server:
+            fut = ServeClient(server).submit(molecule=serve_molecules[0])
+            assert fut.result(timeout=120.0) == cold_energies[0]
+
+    def test_sim_width_is_the_slice_count(self, serve_molecules,
+                                          cold_energies):
+        """``workers`` is the sim backend's slice width, as it is a
+        shard's: a sliced request fans out into that many ranges."""
+        cfg = _quick_config(slice_threshold=1e-6)
+        with make_server(backend="sim", workers=3, config=cfg) as server:
+            fut = ServeClient(server).submit(molecule=serve_molecules[2])
+            assert fut.result(timeout=120.0) == cold_energies[2]
+        assert fut.detail["nslices"] == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

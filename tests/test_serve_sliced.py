@@ -5,13 +5,15 @@ Acceptance criteria covered here:
 * one request row-sliced across the warm fleet is **bit-identical** to a
   cold serial ``PolarizationEnergyCalculator.run()`` and to the batched
   path, at inline widths and process-fleet widths P in {1, 2, 4} under
-  both ``fork`` and ``spawn``, plain and with ``REPRO_CHECKS=1``;
+  both ``fork`` and ``spawn``;
 * the SLO scheduler routes by measured plan row weight: heavy requests
   slice, light requests micro-batch, and both arrive with mode/slice
   provenance on the future and in the metrics;
 * a worker dying mid-slice surfaces a clear :class:`SliceError` (no hang,
   no lost future), the fleet respawns the dead rank, subsequent requests
   succeed, and ``/dev/shm`` stays clean;
+* a worker that runs, and reports, one row past its range fails that
+  request with :class:`SliceError`, and the next request is exact;
 * a failure in the parent's own part of a request (a full ``/dev/shm``
   at publication) rejects that request alone, batched or sliced, and the
   scheduler keeps serving.
@@ -145,11 +147,10 @@ class TestProcessSliced:
         assert _segments(os.listdir(SHM_DIR)) <= before
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_checked_mode_sliced(self, start_method, entries, cold_big,
-                                 monkeypatch):
-        """REPRO_CHECKS=1 workers record slice write intents and the
-        parent's race check passes on the disjoint ranges."""
-        monkeypatch.setenv("REPRO_CHECKS", "1")
+    def test_reported_ranges_pass_cover_check(self, start_method, entries,
+                                              cold_big):
+        """Workers report the ranges they ran and the parent's cover
+        check passes on the disjoint ranges."""
         big, _ = entries
         fleet = ProcessFleet(2, start_method=start_method)
         try:
@@ -303,6 +304,38 @@ class TestSliceFaults:
         finally:
             fleet.shutdown()
         assert _segments(os.listdir(SHM_DIR)) <= before
+
+    def test_worker_overrun_fails_request(self, entries, cold_big,
+                                          monkeypatch, tmp_path):
+        """One slice worker runs, and reports, ``(lo, hi + 1)``: the
+        parent's cover check fails that request with SliceError, and the
+        next request matches ``run()`` bit for bit.  The patched
+        ``_run_slice`` reaches the workers through ``fork``; a marker
+        file makes the overrun fire once across all of them."""
+        big, _ = entries
+        marker = tmp_path / "overrun"
+        real = fleet_module._run_slice
+
+        def overrun_once(state, kind, scratch, lo, hi):
+            if kind == "born_slice" and lo == 0:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    hi += 1
+            return real(state, kind, scratch, lo, hi)
+
+        monkeypatch.setattr(fleet_module, "_run_slice", overrun_once)
+        fleet = ProcessFleet(2, start_method="fork")
+        try:
+            with pytest.raises(SliceError, match="do not tile"):
+                fleet.run_sliced(0, big, _cfg(big))
+            assert marker.exists()
+            again = fleet.run_sliced(1, big, _cfg(big))
+            assert again.error is None and again.energy == cold_big
+        finally:
+            fleet.shutdown()
 
     def test_server_survives_mid_slice_death(self, entries, registry,
                                              cold_big):

@@ -13,7 +13,10 @@ Three invariants the sliced serving path leans on:
 * the served energy is invariant to how many slices the plan is cut
   into, and to the order the ranges execute in (the parent replays the
   serial reduction, so routing, fleet width and worker timing can only
-  change *where* and *when* rows evaluate, never the bits).
+  change *where* and *when* rows evaluate, never the bits);
+* a substrate whose executed ranges do not tile a phase's rows -- one
+  range dropped, repeated, or run a row past its end -- fails the
+  request instead of returning an energy.
 """
 
 from __future__ import annotations
@@ -179,3 +182,47 @@ class TestEnergyInvariance:
             fold_pair_terms(terms.far, terms.near),
             epsilon_solvent=entry.params.epsilon_solvent)
         assert energy == state["reference"]  # exact float equality
+
+
+def _broken_cover(fault: str, bounds: list, i: int, nrows: int) -> list:
+    """``bounds`` with range ``i`` dropped, repeated, or extended by one
+    row (upward, or downward when it already ends the plan)."""
+    lo, hi = bounds[i]
+    if fault == "drop":
+        return bounds[:i] + bounds[i + 1:]
+    if fault == "repeat":
+        return bounds + [bounds[i]]
+    grown = (lo, hi + 1) if hi < nrows else (lo - 1, hi)
+    return bounds[:i] + [grown] + bounds[i + 1:]
+
+
+class TestRowCover:
+    @pytest.mark.parametrize("fault", ["drop", "repeat", "extend"])
+    @pytest.mark.parametrize("phase", ["born", "epol"])
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_broken_cover_fails_the_request(self, phase, fault, data):
+        """A substrate that runs, and reports, a range set that does not
+        tile ``[0, nrows)`` in either phase raises; it never returns an
+        energy folded from zero-filled or double-counted rows."""
+        state = _entry()
+        entry, cfg = state["entry"], state["cfg"]
+        local = LocalRanges.for_entry(entry, cfg.eps_born, cfg.eps_epol)
+        nparts = data.draw(st.integers(min_value=2, max_value=6),
+                           label="nparts")
+
+        def ranges(name, bounds):
+            if name != phase:
+                return bounds
+            plan = local.plans.born if name == "born" else local.plans.epol
+            i = data.draw(st.integers(0, len(bounds) - 1), label="range")
+            return _broken_cover(fault, bounds, i, plan.nrows)
+
+        with pytest.raises(ValueError, match="do not tile"):
+            evaluate_ranges(
+                local.plans, local.atoms,
+                lambda b: local.born_phase(ranges("born", b)),
+                lambda b, radii: local.epol_phase(ranges("epol", b), radii),
+                nparts=nparts,
+                max_radius=2.0 * entry.molecule.bounding_radius,
+                eps_epol=cfg.eps_epol)

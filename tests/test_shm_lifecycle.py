@@ -180,6 +180,16 @@ class TestFinalizerBackstops:
 class TestZeroOverheadDisabled:
     """Regression: the shm bundle hands out base ndarrays."""
 
+    def test_plain_views_without_tracker(self):
+        bundle = SharedArrayBundle.create({"field": np.zeros(32)})
+        try:
+            view = bundle.view("field")
+            assert type(view) is np.ndarray
+            del view  # drop the exported pointer before close()
+        finally:
+            bundle.close()
+            bundle.unlink()
+
     def test_bundle_no_shadow_state(self):
         bundle = SharedArrayBundle.create({"x": np.zeros(8)})
         try:

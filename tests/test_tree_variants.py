@@ -15,8 +15,9 @@ compressed}), every execution substrate.  The contracts:
 * the caching layers (plan cache, serve registry) key the variant: two
   variants of one molecule can never share a plan or a registry entry.
 
-CI runs this file under both fork and spawn with ``REPRO_CHECKS=1`` (the
-``tree-variants`` job), so the octree/plan validators are live here.
+CI runs this file under both fork and spawn (the ``tree-variants`` job);
+fleet workers validate every plan they attach, so the plan validators
+are live here.
 """
 
 from __future__ import annotations
