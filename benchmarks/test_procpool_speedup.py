@@ -14,7 +14,10 @@ correctness assertions -- every P bit-identical to the serial driver --
 always fire.
 
 Environment knobs: ``REPRO_BENCH_NATOMS`` overrides the molecule size,
-``REPRO_BENCH_REPEATS`` the per-P repetitions (best-of is recorded).
+``REPRO_BENCH_REPEATS`` the per-P repetitions (default 5; best-of is
+recorded).  Two repeats were too few on a shared 2-vCPU host: one run's
+best-of-2 read P = 2 slower than P = 1, where runs at 5 repeats read
+1.38x and 1.71x.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def _fingerprint() -> dict:
 
 def test_procpool_speedup(results_dir):
     natoms = int(os.environ.get("REPRO_BENCH_NATOMS", "5000"))
-    repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "2"))
+    repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
     cores = _available_cores()
 
     calc = PolarizationEnergyCalculator(protein_blob(natoms, seed=1))

@@ -12,8 +12,8 @@ static checks those tests cannot stand in for:
 * :mod:`.linter` / :mod:`.rules` -- ``repro-lint``, an AST pass with
   repo-specific rules (REP001..REP009), driven by ``python -m repro.lint``;
 * :mod:`.verify` -- ``repro-verify``, the whole-program pass
-  (interprocedural effect inference, shm typestate, protocol model
-  checking), driven by ``python -m repro.verify``;
+  (interprocedural effect inference and shm typestate), driven by
+  ``python -m repro.verify``;
 * :mod:`.baseline` -- the shared fingerprint-baseline ratchet used by
   both CLIs' ``--baseline`` flags.
 

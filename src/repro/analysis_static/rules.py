@@ -145,10 +145,9 @@ RULES: dict[str, Rule] = {r.id: r for r in (
         title="unbounded blocking call in service code",
         roles=frozenset({"service", "cluster"}),
         hint=("a Queue.get()/Event.wait()/Thread.join() with no timeout "
-              "can park a serving thread forever when its peer dies; the "
-              "protocol models (docs/ANALYSIS.md section 5) assume every "
-              "wait is bounded -- pass timeout=... (hoist the constant "
-              "into ServeConfig) and handle the timeout path"),
+              "can park a serving thread forever when its peer dies; "
+              "pass timeout=... (hoist the constant into ServeConfig) "
+              "and handle the timeout path"),
     ),
     Rule(
         id="REP009",

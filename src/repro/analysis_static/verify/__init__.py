@@ -1,11 +1,9 @@
 """repro-verify: whole-program static verification (see docs/ANALYSIS.md).
 
-Three analyses over one shared program model:
+Two analyses over one shared program model:
 
 * :mod:`.effects`   -- interprocedural effect inference (RV101/RV102)
 * :mod:`.typestate` -- shared-memory segment protocol (RV201..RV206)
-* :mod:`repro.analysis_static.model.checks` -- protocol model checking
-  with counterexample interleavings (RV401..RV406)
 
 plus :mod:`.annotations` (the runtime ``@declares_effects`` decorator)
 and :mod:`.report` (catalogue, suppressions, renderers).
@@ -78,13 +76,6 @@ def run_verify(
     ctx = CheckContext()
     effects.run_checks(ctx)
     TypestateChecker(program).run_checks(ctx)
-    # Imported lazily: the model package both *analyses* this package's
-    # program model and *provides* the runtime @protocol_event decorator
-    # that analysed modules import -- a top-level import here would close
-    # that cycle during package init.
-    from ..model.checks import ModelChecker
-
-    ModelChecker(program).run_checks(ctx)
 
     for mod in program.modules.values():
         covers, bad = parse_allows(mod.lines)

@@ -21,8 +21,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
         description=(
-            "repro-verify: whole-program effect inference, shared-memory "
-            "typestate and protocol model checking (RV001..RV406)."))
+            "repro-verify: whole-program effect inference and "
+            "shared-memory typestate (RV001..RV206)."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to verify (default: src)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checks", "--check", default=None,
                         metavar="RVxxx[,family]", dest="checks",
                         help="run only the named checks; entries may be "
-                             "check ids (RV401) or families "
+                             "check ids (RV205) or families "
                              f"({', '.join(sorted(CHECK_FAMILIES))}); "
                              "RV001 always runs")
     parser.add_argument("--list-checks", action="store_true",
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
             name = raw.strip()
             if not name:
                 continue
-            # A family name (effects, shm, model) expands to its
+            # A family name (effects, shm) expands to its
             # member checks; anything else must be a check id.
             family = CHECK_FAMILIES.get(name.lower())
             if family is not None:

@@ -93,50 +93,6 @@ CHECKS: dict[str, Check] = {
             "class holds a shared-memory segment but no method closes it",
             "add a close/release method that closes the stored segment",
         ),
-        Check(
-            "RV401",
-            "model-deadlock",
-            "protocol model reaches a state with no enabled transition",
-            "the finding's message carries the counterexample interleaving; "
-            "replay it against the model in repro.analysis_static.model",
-        ),
-        Check(
-            "RV402",
-            "model-lost-future",
-            "an admitted request can end unresolved and unrejected",
-            "every path that removes a request from the queue must resolve "
-            "or reject its future -- including worker-death paths",
-        ),
-        Check(
-            "RV403",
-            "model-bound",
-            "a protocol invariant (e.g. the admission bound) is violated",
-            "queue occupancy must never exceed queue_capacity; re-check the "
-            "capacity guard in submit()",
-        ),
-        Check(
-            "RV404",
-            "model-shm-lifecycle",
-            "a shm segment path skips close-before-unlink or re-unlinks",
-            "every published segment must be closed by its owner before the "
-            "single unlink, on every path including crash paths",
-        ),
-        Check(
-            "RV405",
-            "model-conformance",
-            "implementation drifted from its protocol model",
-            "restore the code fact / @protocol_event annotation the model "
-            "is anchored to, or update the model in "
-            "repro.analysis_static.model.protocols",
-        ),
-        Check(
-            "RV406",
-            "model-routing",
-            "the router/donation protocol can lose or double-execute work",
-            "donated row ranges must execute exactly once and every shard "
-            "rejection must propagate to the submitting client (retry or "
-            "re-raise; never a silent drop)",
-        ),
     )
 }
 
@@ -144,7 +100,6 @@ CHECKS: dict[str, Check] = {
 CHECK_FAMILIES: dict[str, tuple[str, ...]] = {
     "effects": ("RV101", "RV102"),
     "shm": ("RV201", "RV202", "RV203", "RV204", "RV205", "RV206"),
-    "model": ("RV401", "RV402", "RV403", "RV404", "RV405", "RV406"),
 }
 
 _SLUG_TO_ID = {c.slug: c.id for c in CHECKS.values()}

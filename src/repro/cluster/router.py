@@ -12,8 +12,7 @@ three things, none of which can change a served energy:
 * **backpressure** -- a full shard queue surfaces as
   :class:`~repro.serve.scheduler.RejectedError` *to the submitting
   client*, wrapped with the shard's identity and re-raised from the
-  shard's own rejection -- never swallowed (the router/donation
-  protocol model checks exactly this, RV406);
+  shard's own rejection -- never swallowed;
 * **donation** -- when the target shard is saturated
   (:func:`repro.serve.policy.decide_donation`) and other shards are
   idle, a large request runs the one row-range pipeline of
@@ -41,7 +40,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis_static.model.annotations import protocol_event
 from ..core.energy import epol_from_pair_sum
 from ..core.params import ApproximationParams
 from ..molecule.molecule import Molecule
@@ -222,7 +220,6 @@ class ClusterRouter:
             return sorted(self._placement.get(key, ()))
 
     # -- request path ----------------------------------------------------
-    @protocol_event("cluster", "submit")
     def submit(self, key: str, *, eps_born: float | None = None,
                eps_epol: float | None = None) -> ServeFuture:
         """Route one request to a shard holding ``key`` (or donate it).
@@ -274,7 +271,6 @@ class ClusterRouter:
             return min(sorted(locations),
                        key=lambda n: (self._assigned_weight.get(n, 0.0), n))
 
-    @protocol_event("cluster", "forward")
     def _forward(self, key: str, node_id: str, *,
                  eps_born: float | None,
                  eps_epol: float | None) -> ServeFuture:
@@ -287,7 +283,8 @@ class ClusterRouter:
             future = self.shards[node_id].server.submit(
                 key, eps_born=eps_born, eps_epol=eps_epol)
         except RejectedError as err:
-            self._shard_rejected(node_id, key)
+            with self._lock:
+                self.counters["rejected"] += 1
             raise RejectedError(
                 f"shard {node_id} rejected molecule {key!r}: {err}"
             ) from err
@@ -297,13 +294,6 @@ class ClusterRouter:
             self.counters["routed"] += 1
             self._served.append((node_id, future))
         return future
-
-    @protocol_event("cluster", "reject")
-    def _shard_rejected(self, node_id: str, key: str) -> None:
-        """Count one shard rejection (the observable ``reject`` event of
-        the router protocol model; the caller re-raises)."""
-        with self._lock:
-            self.counters["rejected"] += 1
 
     # -- replication -----------------------------------------------------
     def _rebalance_replicas(self) -> None:
@@ -358,7 +348,6 @@ class ClusterRouter:
         return shard.registry.get(key)
 
     # -- work donation ---------------------------------------------------
-    @protocol_event("cluster", "donate")
     def _donate(self, key: str, owner_id: str, donees: list[str],
                 eps: EpsConfig, entry: RegistryEntry) -> ServeFuture:
         """Serve one request by row-range fan-out over idle shards.
@@ -410,7 +399,11 @@ class ClusterRouter:
                 nparts=len(donees),
                 max_radius=2.0 * entry.molecule.bounding_radius,
                 eps_epol=eps.eps_epol)
-            energy = self._donate_finish(entry, terms.far, terms.near)
+            # The owner's serial replay: the same fold a cold run
+            # performs, so donation cannot move a bit.
+            energy = epol_from_pair_sum(
+                fold_pair_terms(terms.far, terms.near),
+                epsilon_solvent=entry.params.epsilon_solvent)
         except Exception as err:
             owner.metrics.record_done(self._clock() - t0, ok=False,
                                       mode=MODE_DONATED)
@@ -428,7 +421,6 @@ class ClusterRouter:
                         donees=donees[:terms.nslices])
         return future
 
-    @protocol_event("cluster", "exec")
     def _donate_phase(self, key: str, owner_id: str, donees: list[str],
                       eps: EpsConfig, bounds: Bounds,
                       run_one: Callable[[LocalRanges, int, int], int], *,
@@ -454,16 +446,6 @@ class ClusterRouter:
             self.shards[node_id].add_busy(self._clock() - t1)
             self.traffic.charge(owner_id, result_nbytes,
                                 kind="donate_result")
-
-    @protocol_event("cluster", "reduce")
-    def _donate_finish(self, entry: RegistryEntry, far_terms: np.ndarray,
-                       near_terms: np.ndarray) -> float:
-        """The owner's serial replay: interleaved left fold of the
-        per-row terms, then the scalar energy -- the same reduction a
-        cold run performs, so donation cannot move a bit."""
-        pair_sum = fold_pair_terms(far_terms, near_terms)
-        return epol_from_pair_sum(
-            pair_sum, epsilon_solvent=entry.params.epsilon_solvent)
 
     # -- reporting -------------------------------------------------------
     def modeled_report(self) -> dict:

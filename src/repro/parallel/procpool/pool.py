@@ -31,8 +31,6 @@ import weakref
 from queue import Empty
 from typing import Any, Callable
 
-from ...analysis_static.model.annotations import protocol_event
-
 #: Environment override for the multiprocessing start method ("fork",
 #: "spawn", "forkserver"); unset uses the platform default.
 START_METHOD_ENV = "REPRO_PROCPOOL_START"
@@ -108,7 +106,6 @@ class PersistentWorkerPool:
                                            list(self._procs))
 
     # -- submission ----------------------------------------------------
-    @protocol_event("pool", "submit")
     def submit(self, task: Any) -> None:
         """Enqueue one picklable task for whichever worker is free next."""
         if self._closed:
@@ -116,7 +113,6 @@ class PersistentWorkerPool:
         self.tasks.put(task)
 
     # -- collection ----------------------------------------------------
-    @protocol_event("pool", "next_result")
     def next_result(self, *,
                     timeout: float = DEFAULT_RESULT_TIMEOUT) -> Any:
         """Dequeue one worker result, polling for worker death.
@@ -145,7 +141,6 @@ class PersistentWorkerPool:
         """Number of workers currently running."""
         return sum(1 for p in self._procs if p.is_alive())
 
-    @protocol_event("pool", "respawn")
     def respawn(self) -> int:
         """Replace every exited worker with a fresh process at the same
         rank; returns how many were replaced.
@@ -183,7 +178,6 @@ class PersistentWorkerPool:
     def closed(self) -> bool:
         return self._closed
 
-    @protocol_event("pool", "shutdown")
     def shutdown(self, *, timeout: float = 10.0) -> None:
         """Stop every worker and reap the queues.  Idempotent."""
         if self._closed:

@@ -19,7 +19,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ...analysis_static.model.annotations import protocol_event
 from ...analysis_static.verify.annotations import declares_effects
 
 
@@ -110,7 +109,6 @@ class SharedArrayBundle:
     # -- lifecycle -----------------------------------------------------
     @classmethod
     @declares_effects("SHM_CREATE", "MUTATES_SHARED")
-    @protocol_event("shm", "publish")
     def create(cls, arrays: dict[str, np.ndarray]) -> "SharedArrayBundle":
         """Publish ``arrays`` (copied once) into a new shared block."""
         layout: dict[str, _ArraySpec] = {}
@@ -154,7 +152,6 @@ class SharedArrayBundle:
         return flat.reshape(spec.shape)
 
     @declares_effects("SHM_CLOSE")
-    @protocol_event("shm", "close")
     def close(self) -> None:
         if self._closed:
             return
@@ -168,7 +165,6 @@ class SharedArrayBundle:
             _keep_mapped(self._shm)
 
     @declares_effects("SHM_UNLINK")
-    @protocol_event("shm", "unlink")
     def unlink(self) -> None:
         if self._owner and not self._unlinked:
             self._unlinked = True

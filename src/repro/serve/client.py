@@ -18,7 +18,6 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Sequence
 
-from ..analysis_static.model.annotations import protocol_event
 from ..core.params import ApproximationParams
 from ..molecule.molecule import Molecule
 
@@ -65,13 +64,11 @@ class ServeFuture:
         return self._error
 
     # -- producer side (scheduler thread only) --------------------------
-    @protocol_event("future", "resolve")
     def _resolve(self, energy: float, **detail: Any) -> None:
         self._value = float(energy)
         self.detail.update(detail)
         self._done.set()
 
-    @protocol_event("future", "reject")
     def _reject(self, error: BaseException) -> None:
         self._error = error
         self._done.set()

@@ -38,7 +38,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..analysis_static.model.annotations import protocol_event
 from ..core.params import ApproximationParams
 from ..molecule.molecule import Molecule
 from .client import ServeFuture
@@ -79,9 +78,6 @@ class ServeConfig:
     #: raises the effective threshold by this fraction of the base (a
     #: deep queue already saturates the fleet across requests).
     slice_queue_scale: float = 0.0
-    #: Seconds a client should wait on ``ServeFuture.result`` before
-    #: giving up; the liveness bound the protocol model assumes.
-    result_timeout_seconds: float = 60.0
     #: Seconds ``stop`` waits for the scheduler thread to drain and exit.
     stop_join_seconds: float = 60.0
 
@@ -96,8 +92,6 @@ class ServeConfig:
             raise ValueError("slice_threshold must be > 0 (or None)")
         if self.slice_queue_scale < 0:
             raise ValueError("slice_queue_scale must be >= 0")
-        if self.result_timeout_seconds <= 0:
-            raise ValueError("result_timeout_seconds must be > 0")
         if self.stop_join_seconds <= 0:
             raise ValueError("stop_join_seconds must be > 0")
 
@@ -120,7 +114,7 @@ class EpolServer:
         server.start()
         key = server.register(molecule)
         future = server.submit(key)
-        energy = future.result(timeout=server.config.result_timeout_seconds)
+        energy = future.result(timeout=60.0)
         server.stop()
     """
 
@@ -159,7 +153,6 @@ class EpolServer:
         self._thread.start()
         return self
 
-    @protocol_event("scheduler", "stop")
     def stop(self, *, drain: bool = True) -> None:
         """Stop serving.  Idempotent.
 
@@ -192,7 +185,6 @@ class EpolServer:
         """Idempotently register a molecule; returns its content key."""
         return self.registry.register(molecule, params)
 
-    @protocol_event("scheduler", "admit")
     def submit(self, key: str, *, eps_born: float | None = None,
                eps_epol: float | None = None) -> ServeFuture:
         """Admit one request for registered molecule ``key``.
@@ -255,7 +247,6 @@ class EpolServer:
                 return
             self._execute(batch)
 
-    @protocol_event("scheduler", "dispatch")
     def _execute(self, batch: list[_Request]) -> None:
         # Group requests sharing a (molecule, eps) configuration, in
         # first-seen order (deterministic given the batch content).

@@ -1,8 +1,7 @@
 # repro-lint: roles=service
 """REP008 fixture: unbounded blocking calls inside service code.
 
-Every wait in the serving layer carries a timeout (the protocol models
-of docs/ANALYSIS.md section 5 assume bounded liveness); the calls below
+Every wait in the serving layer carries a timeout; the calls below
 park a thread forever when the producing side dies.
 """
 

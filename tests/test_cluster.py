@@ -150,10 +150,16 @@ class TestBackpressure:
         router.submit(key)
         with pytest.raises(RejectedError) as excinfo:
             router.submit(key)
-        shard.server._running = False
         assert "node00" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, RejectedError)
         assert router.counters["rejected"] == 1
+        # A client with one retry sees two bounces, then the rejection.
+        client = ServeClient(router)
+        with pytest.raises(RejectedError):
+            client.submit(key=key, retries=1, backoff_seconds=0.0)
+        shard.server._running = False
+        assert client.retried_rejections == 1
+        assert router.counters["rejected"] == 3
 
     def test_client_retry_turns_backpressure_into_delay(self, molecules,
                                                         cold):

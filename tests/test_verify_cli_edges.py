@@ -4,13 +4,12 @@ Covered here (the CLI contract the CI jobs and the pre-commit hook rely
 on):
 
 * ``--format sarif`` emits a schema-valid SARIF 2.1.0 document whose rule
-  catalogue matches :data:`CHECKS` exactly (including the RV4xx model
-  checks);
+  catalogue matches :data:`CHECKS` exactly;
 * ``--baseline`` accepts an empty-fingerprint file, reports malformed /
   truly-empty files as a usage error (exit 2) instead of a traceback,
   and *warns* about stale fingerprints without failing the run;
-* ``--check`` expands family names (``effects``, ``shm``, ``model``)
-  and stays an alias of ``--checks``; unknown names exit 2.
+* ``--check`` expands family names (``effects``, ``shm``) and stays an
+  alias of ``--checks``; unknown names exit 2.
 """
 
 from __future__ import annotations
@@ -67,10 +66,6 @@ class TestSarifShape:
             assert loc["region"]["startLine"] >= 1
             assert loc["region"]["startColumn"] >= 1
 
-    def test_model_checks_present_in_catalogue(self, sarif):
-        ids = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
-        assert set(CHECK_FAMILIES["model"]) <= ids
-
 
 class TestBaselineEdges:
     def test_empty_fingerprint_list_is_valid(self, tmp_path):
@@ -120,19 +115,19 @@ class TestBaselineEdges:
 
 class TestCheckFamilies:
     def test_family_names_expand(self, tmp_path):
-        proc = run_cli(str(SRC / "repro"), "--check", "model,shm")
+        proc = run_cli(str(SRC / "repro"), "--check", "effects,shm")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
 
     def test_families_partition_the_catalogue(self):
-        assert set(CHECK_FAMILIES) == {"effects", "shm", "model"}
+        assert set(CHECK_FAMILIES) == {"effects", "shm"}
         members = [c for fam in CHECK_FAMILIES.values() for c in fam]
         assert sorted(members) == sorted(set(members)), "overlapping families"
         assert set(members) == set(CHECKS) - {"RV001"}
 
     def test_family_mixes_with_check_ids(self):
         proc = run_cli(str(FIXTURES / "good_shm.py"),
-                       "--check", "model,RV201")
+                       "--check", "effects,RV201")
         assert proc.returncode == 0
 
     def test_checks_flag_still_accepts_ids(self):
@@ -140,13 +135,7 @@ class TestCheckFamilies:
         assert proc.returncode == 0
 
     def test_unknown_family_or_check_exits_2(self):
-        proc = run_cli(str(FIXTURES / "good_shm.py"),
-                       "--check", "protocols")
-        assert proc.returncode == 2
-        assert "unknown check" in proc.stderr
-
-    def test_list_checks_includes_model_families(self):
-        proc = run_cli("--list-checks")
-        assert proc.returncode == 0
-        for check in ("RV401", "RV405", "RV406"):
-            assert check in proc.stdout
+        for name in ("protocols", "model"):
+            proc = run_cli(str(FIXTURES / "good_shm.py"), "--check", name)
+            assert proc.returncode == 2, name
+            assert "unknown check" in proc.stderr
